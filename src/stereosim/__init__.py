@@ -43,6 +43,7 @@ from .stereo import (
     parse_disparity,
     rle_decode_disparity,
     rle_encode_disparity,
+    rle_num_bytes,
     scale_to_gray,
     serialize_disparity,
     sidecar_num_bytes,

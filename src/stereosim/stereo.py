@@ -28,6 +28,7 @@ __all__ = [
     "serialize_disparity",
     "parse_disparity",
     "sidecar_num_bytes",
+    "rle_num_bytes",
     "rle_encode_disparity",
     "rle_decode_disparity",
     "DisparityFormatError",
@@ -388,6 +389,16 @@ def _parse_sidecar_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
     return width, height, max_disparity
 
 
+def _check_records(disp: np.ndarray, valid: np.ndarray, max_disparity: int):
+    """Reject decoded disparities above max_disparity and valid flags other than 0/1."""
+    if disp.size and int(disp.max()) > max_disparity:
+        raise DisparityFormatError(
+            f"disparity {int(disp.max())} exceeds max_disparity {max_disparity}"
+        )
+    if valid.size and int(valid.max()) > 1:
+        raise DisparityFormatError(f"valid flag {int(valid.max())} is neither 0 nor 1")
+
+
 def parse_disparity(data: bytes) -> DisparityMap:
     """Decode a DSP1 sidecar produced by serialize_disparity."""
     buf = bytes(data)
@@ -398,10 +409,39 @@ def parse_disparity(data: bytes) -> DisparityMap:
         raise DisparityFormatError(
             f"pixel records truncated: need {need} bytes, have {len(buf) - 16}"
         )
+    if len(buf) - 16 > need:
+        raise DisparityFormatError(f"{len(buf) - 16 - need} trailing bytes after last pixel")
     body = np.frombuffer(buf, dtype=np.uint8, count=need, offset=16).reshape(n, 3)
     disp = body[:, :2].copy().view("<u2").reshape(height, width).astype(np.int32)
-    valid = body[:, 2].astype(bool).reshape(height, width)
-    return DisparityMap(disp, valid, max_disparity)
+    valid = body[:, 2].reshape(height, width)
+    _check_records(disp, valid, max_disparity)
+    return DisparityMap._trusted(disp, valid.astype(bool), max_disparity)
+
+
+# one DSR1 run record: (run length, disparity, valid)
+_RLE_RECORD = np.dtype([("run", "<u2"), ("disparity", "<u2"), ("valid", "u1")])
+_MAX_RUN = 0xFFFF
+
+
+def _rle_runs(dmap: DisparityMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every maximal run of equal (disparity, valid) within a row.
+
+    Returns each run's flat start index, its length, and the number of
+    records it takes: runs longer than 65535 split into full records plus
+    the remainder. This is the run rule of the DSR1 format.
+    """
+    d, v = dmap.disparities, dmap.valid
+    begins = np.ones(d.shape, dtype=bool)
+    begins[:, 1:] = (d[:, 1:] != d[:, :-1]) | (v[:, 1:] != v[:, :-1])
+    starts = np.flatnonzero(begins)
+    # every row opens a run, so no run spans a row boundary
+    lengths = np.diff(starts, append=d.size)
+    return starts, lengths, (lengths + _MAX_RUN - 1) // _MAX_RUN
+
+
+def rle_num_bytes(dmap: DisparityMap) -> int:
+    """Size of rle_encode_disparity(dmap): 16 header bytes plus 5 per run record."""
+    return 16 + 5 * int(_rle_runs(dmap)[2].sum())
 
 
 def rle_encode_disparity(dmap: DisparityMap) -> bytes:
@@ -415,53 +455,51 @@ def rle_encode_disparity(dmap: DisparityMap) -> bytes:
         raise DisparityFormatError(
             f"max_disparity {dmap.max_disparity} exceeds the 16-bit sidecar range"
         )
-    out = bytearray(RLE_MAGIC)
-    out += struct.pack("<III", dmap.width, dmap.height, dmap.max_disparity)
-    disp = dmap.disparities
-    valid = dmap.valid
-    pack = struct.Struct("<HHB").pack
-    for y in range(dmap.height):
-        key = disp[y].astype(np.int64) * 2 + valid[y]
-        if len(key) == 1:
-            starts = np.array([0])
-            ends = np.array([1])
-        else:
-            change = np.nonzero(key[1:] != key[:-1])[0] + 1
-            starts = np.concatenate(([0], change))
-            ends = np.concatenate((change, [len(key)]))
-        for s, e in zip(starts, ends):
-            run = int(e - s)
-            d = int(disp[y, s])
-            v = int(valid[y, s])
-            while run > 0xFFFF:
-                out += pack(0xFFFF, d, v)
-                run -= 0xFFFF
-            out += pack(run, d, v)
-    return bytes(out)
+    starts, lengths, pieces = _rle_runs(dmap)
+    run_of = np.repeat(np.arange(len(starts)), pieces)
+    # index of each record within its run: 0 for all but split runs
+    k = np.arange(len(run_of)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    records = np.empty(len(run_of), dtype=_RLE_RECORD)
+    records["run"] = np.minimum(lengths[run_of] - k * _MAX_RUN, _MAX_RUN)
+    first = starts[run_of]
+    records["disparity"] = dmap.disparities.ravel()[first]
+    records["valid"] = dmap.valid.ravel()[first]
+    header = RLE_MAGIC + struct.pack("<III", dmap.width, dmap.height, dmap.max_disparity)
+    return header + records.tobytes()
 
 
 def rle_decode_disparity(data: bytes) -> DisparityMap:
-    """Decode the row-wise RLE sidecar produced by rle_encode_disparity."""
+    """Decode the row-wise RLE sidecar produced by rle_encode_disparity.
+
+    The records are checked before the raster is allocated, so the header
+    alone cannot demand more memory than the stream's runs cover.
+    """
     buf = bytes(data)
     width, height, max_disparity = _parse_sidecar_header(buf, RLE_MAGIC)
-    disp = np.zeros((height, width), dtype=np.int32)
-    valid = np.zeros((height, width), dtype=bool)
-    unpack = struct.Struct("<HHB").unpack_from
-    pos = 16
-    for y in range(height):
-        x = 0
-        while x < width:
-            if pos + 5 > len(buf):
-                raise DisparityFormatError(f"run records truncated at byte offset {pos}")
-            run, d, v = unpack(buf, pos)
-            pos += 5
-            if run == 0 or x + run > width:
-                raise DisparityFormatError(
-                    f"run of {run} at byte offset {pos - 5} overflows row {y}"
-                )
-            disp[y, x : x + run] = d
-            valid[y, x : x + run] = bool(v)
-            x += run
+    records = np.frombuffer(buf, dtype=_RLE_RECORD, count=(len(buf) - 16) // 5, offset=16)
+    runs = records["run"].astype(np.int64)
+    ends = np.cumsum(runs)
+    total = width * height
+    # keep the records up to the one that completes the raster, or all of them
+    covered = len(records) > 0 and int(ends[-1]) >= total
+    used = int(np.searchsorted(ends, total)) + 1 if covered else len(records)
+    records, runs, ends = records[:used], runs[:used], ends[:used]
+    begins = ends - runs
+    # a run is bad when empty or when it spills past the end of its row
+    bad = (runs == 0) | (begins // width != (ends - 1) // width)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DisparityFormatError(
+            f"run of {int(runs[i])} at byte offset {16 + 5 * i} overflows row {int(begins[i]) // width}"
+        )
+    pos = 16 + 5 * used
+    if not covered:
+        raise DisparityFormatError(f"run records truncated at byte offset {pos}")
     if pos != len(buf):
         raise DisparityFormatError(f"{len(buf) - pos} trailing bytes after last row")
-    return DisparityMap(disp, valid, max_disparity)
+    _check_records(records["disparity"], records["valid"], max_disparity)
+    return DisparityMap._trusted(
+        np.repeat(records["disparity"].astype(np.int32), runs).reshape(height, width),
+        np.repeat(records["valid"].astype(bool), runs).reshape(height, width),
+        max_disparity,
+    )

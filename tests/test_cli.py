@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stereosim
 from stereosim import parse_disparity, parse_pgm, serialize_pgm, texture
 from stereosim.cli import main
 
@@ -246,6 +249,33 @@ def test_simulate_validation_failures_are_listed(tmp_path, capsys):
     assert "nodes[1].battery" in err
 
 
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("energy", "tx_energy_per_64kb"), float("inf"), "$.energy.tx_energy_per_64kb"),
+        (("event_threshold",), float("nan"), "$.event_threshold"),
+        (("nodes", 1, "battery"), float("-inf"), "nodes[1].battery"),
+        (("pairs", 0, "baseline"), 10**400, "pairs[0].baseline"),  # beyond the float range
+        (("nodes", 1, "position"), [10**400, 0], "nodes[1].position"),
+    ],
+    ids=["Infinity", "NaN", "-Infinity", "huge-integer", "huge-position"],
+)
+def test_simulate_non_finite_number_exits_two(tmp_path, capsys, path, value, where):
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    doc["energy"] = {}
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value  # json.dumps writes the non-standard NaN and Infinity
+    scenario = tmp_path / "non_finite.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert run_cli("simulate", str(scenario), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"{where}: must be a" in err and "finite number" in err
+    assert not out.exists()
+
+
 def test_internal_error_exits_one(tmp_path, capsys, monkeypatch):
     import stereosim.cli as cli_mod
 
@@ -270,10 +300,14 @@ def test_usage_error_exits_two():
 def test_module_entry_point(tmp_path):
     p = tmp_path / "img.pgm"
     p.write_bytes(serialize_pgm(texture(16, 16, seed=2)))
+    # the child imports the same stereosim as this process, however pytest found it
+    src = str(Path(stereosim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "stereosim", "metrics", str(p), str(p)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "ssim=1.0" in proc.stdout

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereosim import (
     DeadNodeError,
@@ -15,6 +17,7 @@ from stereosim import (
     StereoPair,
     charge_processing,
     charge_transmission,
+    compute_disparity,
     detect_event,
     load_scenario,
     network_lifetime,
@@ -96,6 +99,35 @@ def test_route_grid_tie_break_matches_exhaustive_search():
     shortest = min(len(p) for p in paths)
     expected = min(p for p in paths if len(p) == shortest)
     assert got == expected == [0, 1, 2, 5, 8]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, n - 1),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12),
+        )
+    )
+)
+def test_routes_are_the_smallest_shortest_paths(graph):
+    n, sink, links = graph
+    links = [(a, b) for a, b in links if a != b]
+    nodes = [SensorNode(i, "sink" if i == sink else "relay") for i in range(n)]
+    sc = Scenario(nodes=nodes, pairs=[], links=links, policy="disparity_always")
+    adjacency = {i: set() for i in range(n)}
+    for a, b in links:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    for src in range(n):
+        paths = all_simple_paths(adjacency, src, sink) if src != sink else [[sink]]
+        if not paths:
+            with pytest.raises(RoutingError, match=f"node {src} has no route to sink {sink}"):
+                route_to_sink(sc, src)
+            continue
+        shortest = min(len(p) for p in paths)
+        assert route_to_sink(sc, src) == min(p for p in paths if len(p) == shortest)
 
 
 def test_route_disconnected_node_is_an_error():
@@ -358,6 +390,25 @@ def test_pair_count_scales_ops_exactly():
     assert base > 0
     for n in (2, 4):
         assert run_simulation(_multi_pair_scenario(n)).total_elementary_ops == n * base
+
+
+def test_equal_frame_pairs_are_matched_once_per_step(monkeypatch):
+    import stereosim.sensornet as sensornet
+
+    calls = []
+
+    def counting(left, right, params):
+        calls.append(params)
+        return compute_disparity(left, right, params)
+
+    monkeypatch.setattr(sensornet, "compute_disparity", counting)
+    for n in (1, 4):
+        calls.clear()
+        report = run_simulation(_multi_pair_scenario(n))
+        # shifts 1, 2, 1: step 3 repeats step 1's input, but no pair used it
+        # at step 2, so it is matched again rather than kept for the run
+        assert len(calls) == 3
+        assert report_to_dict(report) == report_to_dict(run_simulation(_multi_pair_scenario(n)))
 
 
 def test_policy_dominance_when_rle_is_smaller():

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stereosim import (
     DisparityFormatError,
@@ -12,6 +16,7 @@ from stereosim import (
     parse_disparity,
     rle_decode_disparity,
     rle_encode_disparity,
+    rle_num_bytes,
     scale_to_gray,
     serialize_disparity,
     shifted_pair,
@@ -278,6 +283,12 @@ def test_sidecar_error_cases():
     good = serialize_disparity(DisparityMap([[1]], [[True]], 2))
     with pytest.raises(DisparityFormatError, match="truncated"):
         parse_disparity(good[:-1])
+    with pytest.raises(DisparityFormatError, match="trailing"):
+        parse_disparity(good + b"\x00")
+    with pytest.raises(DisparityFormatError, match="exceeds max_disparity"):
+        parse_disparity(good[:16] + b"\x03\x00\x01")
+    with pytest.raises(DisparityFormatError, match="neither 0 nor 1"):
+        parse_disparity(good[:16] + b"\x01\x00\x02")
 
 
 def test_rle_round_trip_and_size():
@@ -287,24 +298,23 @@ def test_rle_round_trip_and_size():
         blob = rle_encode_disparity(dmap)
         assert rle_decode_disparity(blob) == dmap
         records = count_rle_records(dmap.disparities.tolist(), dmap.valid.tolist())
-        assert len(blob) == 16 + 5 * records
+        assert len(blob) == rle_num_bytes(dmap) == 16 + 5 * records
 
 
 def test_rle_constant_map_is_compact():
     dmap = DisparityMap(np.full((64, 64), 5), np.ones((64, 64), bool), 8)
     blob = rle_encode_disparity(dmap)
-    assert len(blob) == 16 + 5 * 64  # one run per row
+    assert len(blob) == rle_num_bytes(dmap) == 16 + 5 * 64  # one run per row
     assert rle_decode_disparity(blob) == dmap
 
 
 def test_rle_splits_runs_longer_than_u16():
-    width = 70000
-    dmap = DisparityMap(np.zeros((1, width), int), np.ones((1, width), bool), 1)
-    blob = rle_encode_disparity(dmap)
-    records = count_rle_records(dmap.disparities.tolist(), dmap.valid.tolist())
-    assert records == 2  # 65535 + 4465
-    assert len(blob) == 16 + 5 * records
-    assert rle_decode_disparity(blob) == dmap
+    for width, records in [(65535, 1), (65536, 2), (70000, 2), (131071, 3)]:
+        dmap = DisparityMap(np.zeros((1, width), int), np.ones((1, width), bool), 1)
+        blob = rle_encode_disparity(dmap)
+        assert count_rle_records(dmap.disparities.tolist(), dmap.valid.tolist()) == records
+        assert len(blob) == rle_num_bytes(dmap) == 16 + 5 * records
+        assert rle_decode_disparity(blob) == dmap
 
 
 def test_rle_rejects_corrupt_streams():
@@ -316,6 +326,19 @@ def test_rle_rejects_corrupt_streams():
         rle_decode_disparity(blob[:-2])
     with pytest.raises(DisparityFormatError, match="trailing"):
         rle_decode_disparity(blob + b"\x00")
+    header = blob[:16]
+    with pytest.raises(DisparityFormatError, match="overflows row 0"):
+        rle_decode_disparity(header + b"\x00\x00\x01\x00\x01")  # empty run
+    with pytest.raises(DisparityFormatError, match="overflows row 0"):
+        rle_decode_disparity(header + b"\x03\x00\x01\x00\x01")
+    with pytest.raises(DisparityFormatError, match="exceeds max_disparity"):
+        rle_decode_disparity(header + b"\x02\x00\x02\x00\x01")
+    with pytest.raises(DisparityFormatError, match="neither 0 nor 1"):
+        rle_decode_disparity(header + b"\x02\x00\x01\x00\x02")
+    # the header alone must not size an allocation the records cannot back
+    huge = b"DSR1" + struct.pack("<III", 0xFFFFFFFF, 0xFFFFFFFF, 1)
+    with pytest.raises(DisparityFormatError, match="truncated"):
+        rle_decode_disparity(huge + b"\xff\xff\x01\x00\x01")
 
 
 def test_disparity_map_validation():
@@ -323,3 +346,87 @@ def test_disparity_map_validation():
         DisparityMap([[1]], [[True, False]], 2)
     with pytest.raises(ValueError, match=r"\[0, 2\]"):
         DisparityMap([[3]], [[True]], 2)
+
+
+# ---------------------------------------------------------------------------
+# codec properties
+
+
+@st.composite
+def disparity_maps(draw, max_width=40):
+    h = draw(st.integers(1, 5))
+    w = draw(st.integers(1, max_width))
+    maxd = draw(st.sampled_from([0, 1, 3, 0xFFFF]))
+    # few distinct values make long runs, many make a run per pixel
+    values = draw(st.lists(st.integers(0, maxd), min_size=1, max_size=4))
+    disp = draw(st.lists(st.sampled_from(values), min_size=h * w, max_size=h * w))
+    valid = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return DisparityMap(np.reshape(disp, (h, w)), np.reshape(valid, (h, w)), maxd)
+
+
+def _alternating(h, w):
+    return DisparityMap(np.indices((h, w)).sum(axis=0) % 2, np.ones((h, w), bool), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(disparity_maps())
+@example(DisparityMap(np.zeros((4, 1), int), np.ones((4, 1), bool), 0))  # width 1
+@example(DisparityMap(np.arange(6).reshape(6, 1) % 3, np.zeros((6, 1), bool), 2))
+@example(DisparityMap(np.zeros((3, 9), int), np.zeros((3, 9), bool), 5))  # all invalid
+@example(_alternating(3, 33))  # a run per pixel
+def test_rle_num_bytes_and_round_trip(dmap):
+    blob = rle_encode_disparity(dmap)
+    assert rle_num_bytes(dmap) == len(blob)
+    assert len(blob) == 16 + 5 * count_rle_records(dmap.disparities.tolist(), dmap.valid.tolist())
+    assert rle_decode_disparity(blob) == dmap
+
+
+def _header(magic):
+    dims = st.one_of(st.integers(0, 6), st.integers(0, 0xFFFFFFFF))
+    return st.builds(
+        lambda w, h, m: magic + struct.pack("<III", w, h, m), dims, dims, st.integers(0, 0xFFFFFFFF)
+    )
+
+
+def _damaged(encode):
+    """Valid streams with bytes overwritten, cut off or appended."""
+
+    @st.composite
+    def damage(draw):
+        blob = bytearray(encode(draw(disparity_maps(max_width=8))))
+        for _ in range(draw(st.integers(0, 3))):
+            blob[draw(st.integers(4, len(blob) - 1))] = draw(st.integers(0, 255))
+        cut = draw(st.integers(0, len(blob)))
+        return bytes(blob[:cut]) + draw(st.binary(max_size=6))
+
+    return damage()
+
+
+def _streams(magic, encode):
+    return st.one_of(
+        st.binary(max_size=64),
+        st.builds(bytes.__add__, _header(magic), st.binary(max_size=64)),
+        _damaged(encode),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_streams(b"DSR1", rle_encode_disparity))
+def test_rle_decoder_raises_only_its_format_error(data):
+    try:
+        dmap = rle_decode_disparity(data)
+    except DisparityFormatError:
+        return
+    assert rle_decode_disparity(rle_encode_disparity(dmap)) == dmap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_streams(b"DSP1", serialize_disparity))
+def test_sidecar_decoder_raises_only_its_format_error(data):
+    try:
+        dmap = parse_disparity(data)
+    except DisparityFormatError:
+        return
+    # the sidecar has one encoding per map, so whatever decodes re-encodes exactly
+    if dmap.max_disparity <= 0xFFFF:
+        assert serialize_disparity(dmap) == data
