@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .imaging import GrayImage, parse_pgm, serialize_pgm
 from .metrics import psnr, ssim
-from .sensornet import ScenarioError, load_scenario, run_simulation, save_report
+from .sensornet import ScenarioError, _report_totals, load_scenario, run_simulation, save_report
 from .stereo import (
     METHODS,
     MatchParams,
@@ -209,12 +209,13 @@ def cmd_simulate(args) -> int:
     report = run_simulation(scenario)
     save_report(report, args.out)
     print(f"wrote {args.out}")
+    totals = _report_totals(report)
     print(f"lifetime={'survived' if report.lifetime is None else report.lifetime}")
-    print(f"processing_total_uj={sum(n.processing_uj for n in report.nodes)}")
-    print(f"transmission_total_uj={sum(n.transmission_uj for n in report.nodes)}")
+    print(f"processing_total_uj={totals['processing_uj']}")
+    print(f"transmission_total_uj={totals['transmission_uj']}")
     print(
-        f"events={len(report.events)} transmissions={len(report.transmissions)} "
-        f"drops={len(report.drops)}"
+        f"events={totals['events']} transmissions={totals['transmissions']} "
+        f"drops={totals['drops']}"
     )
     for p in report.pairs:
         print(

@@ -130,8 +130,9 @@ class _HeaderScanner:
 def parse_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM (magic P5, maxval up to 255) into a GrayImage.
 
-    Header comments introduced by '#' are skipped. Raises PgmParseError
-    naming the offending header field or byte offset on malformed input.
+    Header comments introduced by '#' are skipped. Pixels keep their stored
+    values and may not exceed maxval. Raises PgmParseError naming the
+    offending header field or byte offset on malformed input.
     """
     buf = bytes(data)
     if buf[:2] != b"P5":
@@ -162,6 +163,13 @@ def parse_pgm(data: bytes) -> GrayImage:
             f"pixel data truncated at byte offset {start}: need {need} bytes, have {have}"
         )
     px = np.frombuffer(buf, dtype=np.uint8, count=need, offset=start)
+    if maxval < 255:
+        over = np.flatnonzero(px > maxval)
+        if over.size:
+            i = int(over[0])
+            raise PgmParseError(
+                f"pixel value {px[i]} exceeds maxval {maxval} at byte offset {start + i}"
+            )
     return GrayImage(px.reshape(height, width))
 
 
@@ -197,3 +205,26 @@ def downscale(img: GrayImage, factor: int) -> GrayImage:
     # exact round-half-away-from-zero for non-negative integer means
     out = (2 * sums + counts) // (2 * counts)
     return GrayImage(out)
+
+
+def _window_sums(arr: np.ndarray, side: int) -> np.ndarray:
+    """Sliding-window sums over all fully-in-bounds side x side windows of a 2-D integer array.
+
+    The sums are exact whenever arr's dtype holds every window sum. Small
+    windows accumulate side shifted slices per axis; every partial sum is
+    bounded by the window sum, so no intermediate overflows. Large windows
+    switch to an integral image whose running totals may wrap, which the
+    four-term combination cancels.
+    """
+    h, w = arr.shape
+    if side <= 24:
+        vert = arr[: h - side + 1].copy()
+        for k in range(1, side):
+            vert += arr[k : h - side + 1 + k]
+        out = vert[:, : w - side + 1].copy()
+        for k in range(1, side):
+            out += vert[:, k : w - side + 1 + k]
+        return out
+    ii = np.zeros((h + 1, w + 1), dtype=arr.dtype)
+    ii[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
+    return ii[side:, side:] - ii[:-side, side:] - ii[side:, :-side] + ii[:-side, :-side]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage
+from .imaging import GrayImage, _window_sums
 
 __all__ = ["SsimParams", "MetricResult", "mse", "psnr", "ssim"]
 
@@ -70,13 +70,6 @@ def psnr(a: GrayImage, b: GrayImage) -> MetricResult:
     if m == 0:
         return MetricResult(math.inf, infinite=True)
     return MetricResult(10.0 * math.log10(255.0 * 255.0 / m))
-
-
-def _window_sums(arr: np.ndarray, side: int) -> np.ndarray:
-    h, w = arr.shape
-    ii = np.zeros((h + 1, w + 1), dtype=np.int64)
-    ii[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
-    return ii[side:, side:] - ii[:-side, side:] - ii[side:, :-side] + ii[:-side, :-side]
 
 
 def ssim(a: GrayImage, b: GrayImage, params: SsimParams | None = None) -> MetricResult:

@@ -310,16 +310,20 @@ def transmission_bytes(payload) -> int:
     raise TypeError("payload must be a DisparityMap or a (left, right) GrayImage pair")
 
 
+def _draw(node: SensorNode, cost: float) -> float:
+    """Take cost from the battery, flooring it at zero; returns the energy drawn."""
+    drawn = cost if node.battery >= cost else node.battery
+    node.battery -= drawn
+    return drawn
+
+
 def charge_processing(node: SensorNode, nbytes: int, model: EnergyModel) -> float:
     """Draw CPU energy for nbytes of data handled; returns the energy drawn.
 
     The battery floors at zero: a node may finish its fatal workload, paying
     only what it has left, and is dead afterwards.
     """
-    cost = model.cpu_cost(nbytes)
-    drawn = cost if node.battery >= cost else node.battery
-    node.battery -= drawn
-    return drawn
+    return _draw(node, model.cpu_cost(nbytes))
 
 
 def charge_transmission(
@@ -334,13 +338,8 @@ def charge_transmission(
     for node in path[:-1]:
         if not node.alive:
             raise DeadNodeError(node.id)
-    charged = []
-    for node in path[:-1]:
-        cost = model.tx_cost(nbytes)
-        drawn = cost if node.battery >= cost else node.battery
-        node.battery -= drawn
-        charged.append((node, drawn))
-    return charged
+    cost = model.tx_cost(nbytes)
+    return [(node, _draw(node, cost)) for node in path[:-1]]
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -486,29 +485,28 @@ def run_simulation(scenario: Scenario) -> SimReport:
     drops: list[DropRecord] = []
     last_maps: dict[tuple[int, int], DisparityMap] = {}
     perceived: dict[tuple, tuple[DisparityMap, int, int]] = {}
-    total_ops = 0
     steps = max((len(p.frames) for p in scenario.pairs), default=0)
 
-    def mark_death(node: SensorNode, step: int):
+    def book(node: SensorNode, step: int, cost: float, drawn: float) -> NodeReport:
+        """Record a charge's deficit and any death it caused; returns the node's report."""
         rep = reports[node.id]
+        rep.deficit_uj += cost - drawn
         if not node.alive and rep.died_at_step is None:
             rep.died_at_step = step
+        return rep
 
     def transmit(step, key, path_ids, nbytes, kind):
-        path_nodes = [nodes[i] for i in path_ids]
-        dead = next((n.id for n in path_nodes[:-1] if not n.alive), None)
-        if dead is not None:
-            reason = "origin-dead" if dead == path_ids[0] else "relay-dead"
-            drops.append(DropRecord(step, key, reason, dead, kind, nbytes))
+        try:
+            charged = charge_transmission([nodes[i] for i in path_ids], nbytes, model)
+        except DeadNodeError as exc:
+            reason = "origin-dead" if exc.node_id == path_ids[0] else "relay-dead"
+            drops.append(DropRecord(step, key, reason, exc.node_id, kind, nbytes))
             return
-        # relays forward payloads verbatim; an in-transit transform of the
-        # map at each hop would slot in here if one were ever defined
-        for node, drawn in charge_transmission(path_nodes, nbytes, model):
-            rep = reports[node.id]
+        cost = model.tx_cost(nbytes)
+        for node, drawn in charged:
+            rep = book(node, step, cost, drawn)
             rep.transmission_uj += drawn
-            rep.deficit_uj += model.tx_cost(nbytes) - drawn
             rep.bytes_transmitted += nbytes
-            mark_death(node, step)
         transmissions.append(TransmissionRecord(step, key, kind, nbytes, tuple(path_ids)))
 
     for step in range(1, steps + 1):
@@ -533,17 +531,13 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
             workload = pr.raw_pair_bytes + pr.sidecar_bytes
             drawn = charge_processing(left, workload, model)
-            rep = reports[left.id]
-            rep.processing_uj += drawn
-            rep.deficit_uj += model.cpu_cost(workload) - drawn
-            mark_death(left, step)
+            book(left, step, model.cpu_cost(workload), drawn).processing_uj += drawn
 
             inputs = (lf, rf, pair.match_params)
             result = used.get(inputs)
             if result is None:
                 result = used[inputs] = perceived.get(inputs) or _perceive(*inputs)
             dmap, ops, rle_nbytes = result
-            total_ops += ops
             pr.elementary_ops += ops
             pr.rle_bytes_min = rle_nbytes if pr.rle_bytes_min is None else min(pr.rle_bytes_min, rle_nbytes)
             pr.rle_bytes_max = rle_nbytes if pr.rle_bytes_max is None else max(pr.rle_bytes_max, rle_nbytes)
@@ -566,25 +560,21 @@ def run_simulation(scenario: Scenario) -> SimReport:
     for nid, node in nodes.items():
         reports[nid].final_battery_uj = node.battery
 
-    node_reports = [reports[nid] for nid in sorted(reports)]
-    deaths = [
-        r.died_at_step
-        for r in node_reports
-        if r.role in ("camera", "relay") and r.died_at_step is not None
-    ]
-    return SimReport(
+    report = SimReport(
         policy=scenario.policy,
         steps=steps,
         event_threshold=scenario.event_threshold,
         seed=scenario.seed,
-        nodes=node_reports,
+        nodes=[reports[nid] for nid in sorted(reports)],
         pairs=[pair_reports[(p.left_node, p.right_node)] for p in pair_order],
         events=events,
         transmissions=transmissions,
         drops=drops,
-        total_elementary_ops=total_ops,
-        lifetime=min(deaths) if deaths else None,
+        total_elementary_ops=sum(pr.elementary_ops for pr in pair_reports.values()),
+        lifetime=None,
     )
+    report.lifetime = network_lifetime(report)
+    return report
 
 
 def network_lifetime(report: SimReport) -> int | None:
@@ -632,16 +622,20 @@ class _Loader:
     def fail(self, where: str, message: str):
         self.errors.append(f"{where}: {message}")
 
-    def expect_keys(self, where: str, obj: dict, allowed: set[str]):
+    def expect_object(self, where: str, obj, allowed: set[str]) -> bool:
+        """Whether obj is a JSON object; its keys outside allowed are reported."""
+        if not isinstance(obj, dict):
+            self.fail(where, f"must be an object, got {_type_name(obj)}")
+            return False
         for k in sorted(set(obj) - allowed):
             self.fail(f"{where}.{k}", "unknown key")
+        return True
 
     def get_int(self, where: str, obj: dict, key: str, default=None, minimum=None):
         if key not in obj:
-            if default is not None:
-                return default
-            self.fail(f"{where}.{key}", "required")
-            return None
+            if default is None:
+                self.fail(f"{where}.{key}", "required")
+            return default
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, int):
             self.fail(f"{where}.{key}", f"must be an integer, got {_type_name(v)}")
@@ -653,10 +647,9 @@ class _Loader:
 
     def get_number(self, where: str, obj: dict, key: str, default=None):
         if key not in obj:
-            if default is not None:
-                return default
-            self.fail(f"{where}.{key}", "required")
-            return None
+            if default is None:
+                self.fail(f"{where}.{key}", "required")
+            return default
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(f"{where}.{key}", f"must be a number, got {_type_name(v)}")
@@ -668,10 +661,8 @@ class _Loader:
         return number
 
     def load_node(self, where: str, obj) -> SensorNode | None:
-        if not isinstance(obj, dict):
-            self.fail(where, f"must be an object, got {_type_name(obj)}")
+        if not self.expect_object(where, obj, {"id", "role", "battery", "position"}):
             return None
-        self.expect_keys(where, obj, {"id", "role", "battery", "position"})
         nid = self.get_int(where, obj, "id")
         role = obj.get("role")
         if not isinstance(role, str):
@@ -697,10 +688,8 @@ class _Loader:
     def load_match(self, where: str, obj) -> MatchParams | None:
         if obj is None:
             obj = {}
-        if not isinstance(obj, dict):
-            self.fail(where, f"must be an object, got {_type_name(obj)}")
+        if not self.expect_object(where, obj, {"window_radius", "max_disparity", "method"}):
             return None
-        self.expect_keys(where, obj, {"window_radius", "max_disparity", "method"})
         radius = self.get_int(where, obj, "window_radius", default=3, minimum=0)
         maxd = self.get_int(where, obj, "max_disparity", default=64, minimum=0)
         method = obj.get("method", "sad")
@@ -711,10 +700,8 @@ class _Loader:
             return None
 
     def load_frames(self, where: str, obj, scenario_seed: int):
-        if not isinstance(obj, dict):
-            self.fail(where, f"must be an object, got {_type_name(obj)}")
+        if not self.expect_object(where, obj, {"files", "synthetic"}):
             return None
-        self.expect_keys(where, obj, {"files", "synthetic"})
         if ("files" in obj) == ("synthetic" in obj):
             self.fail(where, "exactly one of 'files' or 'synthetic' is required")
             return None
@@ -753,10 +740,9 @@ class _Loader:
         return frames
 
     def load_synthetic(self, where: str, obj, scenario_seed: int):
-        if not isinstance(obj, dict):
-            self.fail(where, f"must be an object, got {_type_name(obj)}")
+        allowed = {"width", "height", "steps", "shift_per_step", "seed"}
+        if not self.expect_object(where, obj, allowed):
             return None
-        self.expect_keys(where, obj, {"width", "height", "steps", "shift_per_step", "seed"})
         width = self.get_int(where, obj, "width", minimum=1)
         height = self.get_int(where, obj, "height", minimum=1)
         seed = self.get_int(where, obj, "seed", default=scenario_seed)
@@ -788,12 +774,9 @@ class _Loader:
             return None
 
     def load_pair(self, where: str, obj, scenario_seed: int) -> StereoPair | None:
-        if not isinstance(obj, dict):
-            self.fail(where, f"must be an object, got {_type_name(obj)}")
+        allowed = {"left", "right", "baseline", "focal_length", "match", "frames"}
+        if not self.expect_object(where, obj, allowed):
             return None
-        self.expect_keys(
-            where, obj, {"left", "right", "baseline", "focal_length", "match", "frames"}
-        )
         left = self.get_int(where, obj, "left")
         right = self.get_int(where, obj, "right")
         baseline = self.get_number(where, obj, "baseline", default=0.1)
@@ -817,10 +800,9 @@ class _Loader:
     def load_energy(self, where: str, obj) -> EnergyModel:
         if obj is None:
             return EnergyModel()
-        if not isinstance(obj, dict):
-            self.fail(where, f"must be an object, got {_type_name(obj)}")
+        allowed = {"tx_energy_per_64kb", "cpu_energy_per_64kb_processed"}
+        if not self.expect_object(where, obj, allowed):
             return EnergyModel()
-        self.expect_keys(where, obj, {"tx_energy_per_64kb", "cpu_energy_per_64kb_processed"})
         tx = self.get_number(where, obj, "tx_energy_per_64kb", default=377.0)
         cpu = self.get_number(where, obj, "cpu_energy_per_64kb_processed", default=0.00195)
         try:
@@ -840,13 +822,10 @@ def scenario_from_dict(data: dict, base_dir: Path | str | None = None) -> Scenar
     listing every structural problem with its JSON path.
     """
     loader = _Loader(Path(base_dir) if base_dir is not None else None)
-    if not isinstance(data, dict):
-        raise ScenarioError([f"$: must be an object, got {_type_name(data)}"])
-    loader.expect_keys(
-        "$",
-        data,
-        {"nodes", "pairs", "links", "policy", "event_threshold", "seed", "energy"},
-    )
+    if not loader.expect_object(
+        "$", data, {"nodes", "pairs", "links", "policy", "event_threshold", "seed", "energy"}
+    ):
+        raise ScenarioError(loader.errors)
     seed = loader.get_int("$", data, "seed", default=0)
     if seed is None:
         seed = 0
@@ -914,78 +893,37 @@ def load_scenario(path: Path | str) -> Scenario:
     return scenario_from_dict(data, base_dir=path.parent)
 
 
-def report_to_dict(report: SimReport) -> dict:
-    """JSON-ready form of a report; key names are the stable interface."""
+def _report_totals(report: SimReport) -> dict:
+    """Run-wide sums of the node ledgers and counts of the event records."""
     return {
+        "processing_uj": sum(n.processing_uj for n in report.nodes),
+        "transmission_uj": sum(n.transmission_uj for n in report.nodes),
+        "bytes_transmitted": sum(n.bytes_transmitted for n in report.nodes),
+        "elementary_ops": report.total_elementary_ops,
+        "events": len(report.events),
+        "transmissions": len(report.transmissions),
+        "drops": len(report.drops),
+    }
+
+
+def report_to_dict(report: SimReport) -> dict:
+    """JSON-ready form of a report; key names are the stable interface.
+
+    Every record becomes a dict of its fields, whose names are the JSON
+    keys; tuples such as `pair` and `path` serialise as JSON arrays.
+    """
+    doc = {
         "schema": "stereosim-report-v1",
         "policy": report.policy,
         "steps": report.steps,
         "event_threshold": report.event_threshold,
         "seed": report.seed,
         "lifetime": "survived" if report.lifetime is None else report.lifetime,
-        "totals": {
-            "processing_uj": sum(n.processing_uj for n in report.nodes),
-            "transmission_uj": sum(n.transmission_uj for n in report.nodes),
-            "bytes_transmitted": sum(n.bytes_transmitted for n in report.nodes),
-            "elementary_ops": report.total_elementary_ops,
-            "events": len(report.events),
-            "transmissions": len(report.transmissions),
-            "drops": len(report.drops),
-        },
-        "nodes": [
-            {
-                "id": n.id,
-                "role": n.role,
-                "initial_battery_uj": n.initial_battery_uj,
-                "final_battery_uj": n.final_battery_uj,
-                "processing_uj": n.processing_uj,
-                "transmission_uj": n.transmission_uj,
-                "bytes_transmitted": n.bytes_transmitted,
-                "deficit_uj": n.deficit_uj,
-                "died_at_step": n.died_at_step,
-            }
-            for n in report.nodes
-        ],
-        "pairs": [
-            {
-                "left": p.left,
-                "right": p.right,
-                "width": p.width,
-                "height": p.height,
-                "max_disparity": p.max_disparity,
-                "elementary_ops": p.elementary_ops,
-                "sidecar_bytes": p.sidecar_bytes,
-                "raw_pair_bytes": p.raw_pair_bytes,
-                "rle_bytes_min": p.rle_bytes_min,
-                "rle_bytes_max": p.rle_bytes_max,
-            }
-            for p in report.pairs
-        ],
-        "events": [
-            {"step": e.step, "pair": list(e.pair), "change": e.change} for e in report.events
-        ],
-        "transmissions": [
-            {
-                "step": t.step,
-                "pair": list(t.pair),
-                "payload": t.payload,
-                "bytes": t.bytes,
-                "path": list(t.path),
-            }
-            for t in report.transmissions
-        ],
-        "drops": [
-            {
-                "step": d.step,
-                "pair": list(d.pair),
-                "reason": d.reason,
-                "node": d.node,
-                "payload": d.payload,
-                "bytes": d.bytes,
-            }
-            for d in report.drops
-        ],
+        "totals": _report_totals(report),
     }
+    for name in ("nodes", "pairs", "events", "transmissions", "drops"):
+        doc[name] = [dict(vars(record)) for record in getattr(report, name)]
+    return doc
 
 
 def save_report(report: SimReport, path: Path | str):

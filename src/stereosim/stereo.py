@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage, PixelCoord
+from .imaging import GrayImage, PixelCoord, _window_sums
 
 __all__ = [
     "METHODS",
@@ -245,28 +245,6 @@ def _agg_dtype(method: str, window_side: int) -> type:
     raise ValueError(f"window side {window_side} overflows 64-bit cost sums")
 
 
-def _window_sums(arr: np.ndarray, side: int) -> np.ndarray:
-    """Sliding-window sums over all fully-in-bounds side x side windows.
-
-    Small windows accumulate side shifted slices per axis; every partial sum
-    is bounded by the window sum, which _agg_dtype guarantees fits, so no
-    intermediate overflows. Large windows switch to an integral image whose
-    running totals may wrap, which the four-term combination cancels.
-    """
-    h, w = arr.shape
-    if side <= 24:
-        vert = arr[: h - side + 1].copy()
-        for k in range(1, side):
-            vert += arr[k : h - side + 1 + k]
-        out = vert[:, : w - side + 1].copy()
-        for k in range(1, side):
-            out += vert[:, k : w - side + 1 + k]
-        return out
-    ii = np.zeros((h + 1, w + 1), dtype=arr.dtype)
-    ii[1:, 1:] = arr.cumsum(axis=0).cumsum(axis=1)
-    return ii[side:, side:] - ii[:-side, side:] - ii[side:, :-side] + ii[:-side, :-side]
-
-
 def compute_disparity(
     left: GrayImage, right: GrayImage, params: MatchParams
 ) -> tuple[DisparityMap, CostStats]:
@@ -363,14 +341,24 @@ def sidecar_num_bytes(width: int, height: int) -> int:
     return 16 + 3 * width * height
 
 
+def _check_max_disparity(max_disparity: int):
+    """Both sidecar formats store disparities as u16, so max_disparity must fit in 16 bits."""
+    if max_disparity > 0xFFFF:
+        raise DisparityFormatError(
+            f"max_disparity {max_disparity} exceeds the 16-bit sidecar range"
+        )
+
+
+def _sidecar_header(magic: bytes, dmap: DisparityMap) -> bytes:
+    """The 16-byte DSP1/DSR1 header: magic, then u32le width/height/max_disparity."""
+    _check_max_disparity(dmap.max_disparity)
+    return magic + struct.pack("<III", dmap.width, dmap.height, dmap.max_disparity)
+
+
 def serialize_disparity(dmap: DisparityMap) -> bytes:
     """Encode the exact sidecar: DSP1 magic, u32le width/height/max_disparity,
     then row-major (u16le disparity, u8 valid) per pixel. Bit-exact."""
-    if dmap.max_disparity > 0xFFFF:
-        raise DisparityFormatError(
-            f"max_disparity {dmap.max_disparity} exceeds the 16-bit sidecar range"
-        )
-    header = SIDECAR_MAGIC + struct.pack("<III", dmap.width, dmap.height, dmap.max_disparity)
+    header = _sidecar_header(SIDECAR_MAGIC, dmap)
     n = dmap.width * dmap.height
     body = np.empty((n, 3), dtype=np.uint8)
     body[:, :2] = dmap.disparities.astype("<u2").reshape(n).view(np.uint8).reshape(n, 2)
@@ -386,6 +374,7 @@ def _parse_sidecar_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
     width, height, max_disparity = struct.unpack("<III", data[4:16])
     if width < 1 or height < 1:
         raise DisparityFormatError(f"dimensions must be positive, got {width}x{height}")
+    _check_max_disparity(max_disparity)
     return width, height, max_disparity
 
 
@@ -451,10 +440,7 @@ def rle_encode_disparity(dmap: DisparityMap) -> bytes:
     a sequence of (u16le run length, u16le disparity, u8 valid) records;
     runs longer than 65535 are split. Rows never share runs.
     """
-    if dmap.max_disparity > 0xFFFF:
-        raise DisparityFormatError(
-            f"max_disparity {dmap.max_disparity} exceeds the 16-bit sidecar range"
-        )
+    header = _sidecar_header(RLE_MAGIC, dmap)
     starts, lengths, pieces = _rle_runs(dmap)
     run_of = np.repeat(np.arange(len(starts)), pieces)
     # index of each record within its run: 0 for all but split runs
@@ -464,7 +450,6 @@ def rle_encode_disparity(dmap: DisparityMap) -> bytes:
     first = starts[run_of]
     records["disparity"] = dmap.disparities.ravel()[first]
     records["valid"] = dmap.valid.ravel()[first]
-    header = RLE_MAGIC + struct.pack("<III", dmap.width, dmap.height, dmap.max_disparity)
     return header + records.tobytes()
 
 

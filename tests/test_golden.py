@@ -7,10 +7,12 @@ matching and the RLE payload sizes. Regenerate a fixture only for an
 intended change to the report, and say why in the change.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+from stereosim.cli import main
 from stereosim.sensornet import POLICIES, load_scenario, run_simulation, save_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -23,3 +25,16 @@ def test_report_matches_golden_fixture(policy, tmp_path):
     out = tmp_path / "report.json"
     save_report(run_simulation(scenario), out)
     assert out.read_bytes() == (GOLDEN / f"{policy}.report.json").read_bytes()
+
+
+def test_simulate_summary_matches_golden_totals(tmp_path, capsys):
+    scenario = GOLDEN / "disparity_on_event.scenario.json"
+    assert main(["simulate", str(scenario), "--out", str(tmp_path / "report.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    totals = json.loads((GOLDEN / "disparity_on_event.report.json").read_text())["totals"]
+    assert f"processing_total_uj={totals['processing_uj']}" in lines
+    assert f"transmission_total_uj={totals['transmission_uj']}" in lines
+    assert (
+        f"events={totals['events']} transmissions={totals['transmissions']} "
+        f"drops={totals['drops']}"
+    ) in lines

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereosim import GrayImage, PgmParseError, downscale, parse_pgm, pgm_num_bytes, serialize_pgm
 
@@ -45,6 +47,50 @@ def test_parse_zero_dimension():
 def test_parse_non_numeric_header():
     with pytest.raises(PgmParseError, match="width"):
         parse_pgm(b"P5\nxx 2\n255\n\x00\x00")
+
+
+def test_parse_rejects_pixels_above_maxval():
+    assert parse_pgm(b"P5\n2 1\n100\n\x05\x64").pixels.tolist() == [[5, 100]]
+    with pytest.raises(PgmParseError, match="200 exceeds maxval 100 at byte offset 12"):
+        parse_pgm(b"P5\n2 1\n100\n\x05\xc8")
+
+
+def _pgm_streams():
+    """Arbitrary bytes, bytes behind the magic, and small headers over random pixel bytes."""
+    header = st.builds(
+        lambda w, h, m: b"P5\n%d %d\n%d\n" % (w, h, m),
+        st.integers(-1, 6),
+        st.integers(-1, 6),
+        st.one_of(st.integers(0, 256), st.sampled_from([1, 254, 255, 65535])),
+    )
+    return st.one_of(
+        st.binary(max_size=64),
+        st.builds(bytes.__add__, st.just(b"P5"), st.binary(max_size=64)),
+        st.builds(bytes.__add__, header, st.binary(max_size=48)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pgm_streams())
+def test_parse_pgm_raises_only_its_parse_error(data):
+    try:
+        img = parse_pgm(data)
+    except PgmParseError:
+        return
+    assert isinstance(img, GrayImage)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(0, 255), min_size=w, max_size=w), min_size=1, max_size=12
+        )
+    )
+)
+def test_parse_pgm_round_trips_serialize_pgm(rows):
+    img = GrayImage(rows)
+    assert parse_pgm(serialize_pgm(img)) == img
 
 
 def _independent_pgm(rng, width, height, flat):
