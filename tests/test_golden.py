@@ -1,10 +1,14 @@
-"""Golden reports: `simulate` output pinned byte for byte, one scenario per policy.
+"""Golden outputs: `simulate` reports and a `depth` JSON pinned byte for byte.
 
-Each scenario has multi-hop relay paths, node deaths (a relay, a right
+Each simulate scenario has multi-hop relay paths, node deaths (a relay, a right
 camera, and a left camera that dies at its first step) and drops, so the
 fixtures guard the energy ledger, the drop rules and routing along with
 matching and the RLE payload sizes. Regenerate a fixture only for an
 intended change to the report, and say why in the change.
+
+The depth fixture is a 7x4 sidecar with invalid pixels holding nonzero
+disparities, valid zero disparities (null depths) and depths whose shortest
+repr is long (f*B/3 = 16.666666666666668 at f=100, B=0.5).
 """
 
 import json
@@ -38,3 +42,12 @@ def test_simulate_summary_matches_golden_totals(tmp_path, capsys):
         f"events={totals['events']} transmissions={totals['transmissions']} "
         f"drops={totals['drops']}"
     ) in lines
+
+
+def test_depth_json_matches_golden_fixture(tmp_path, capsys):
+    out = tmp_path / "depth.json"
+    code = main(["depth", str(GOLDEN / "depth.dsp"), "--focal-length", "100",
+                 "--baseline", "0.5", "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+    assert out.read_bytes() == (GOLDEN / "depth.json").read_bytes()
