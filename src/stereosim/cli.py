@@ -17,11 +17,15 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .imaging import GrayImage, parse_pgm, serialize_pgm
 from .metrics import psnr, ssim
 from .sensornet import ScenarioError, _report_totals, load_scenario, run_simulation, save_report
 from .stereo import (
     METHODS,
+    DepthMap,
+    DisparityMap,
     MatchParams,
     compute_disparity,
     disparity_to_depth,
@@ -160,21 +164,42 @@ def cmd_depth(args) -> int:
     else:
         print("available=0")
     if args.out:
-        flat = [
-            float(depth.depths[y, x]) if depth.available[y, x] else None
-            for y in range(dmap.height)
-            for x in range(dmap.width)
-        ]
-        doc = {
+        Path(args.out).write_text(_depth_json(dmap, depth) + "\n")
+        print(f"wrote {args.out}")
+    return 0
+
+
+def _depth_json(dmap: DisparityMap, depth: DepthMap) -> str:
+    """The depth document, byte-identical to json.dumps of the dict with keys
+    width, height, focal_length, baseline and depths_m (row-major, null where
+    no depth is available).
+
+    disparity_to_depth makes depth a function of the disparity, so each of
+    the at most max_disparity + 1 distinct depths is rendered once, as a
+    JSON token, and one index over the map picks every pixel's token.
+    """
+    header = json.dumps(
+        {
             "width": dmap.width,
             "height": dmap.height,
             "focal_length": depth.focal_length,
             "baseline": depth.baseline,
-            "depths_m": flat,
-        }
-        Path(args.out).write_text(json.dumps(doc) + "\n")
-        print(f"wrote {args.out}")
-    return 0
+        },
+        allow_nan=False,
+    )
+    avail = depth.available
+    by_disparity = np.zeros(dmap.max_disparity + 1)
+    by_disparity[dmap.disparities[avail]] = depth.depths[avail]
+    # the extra last token is picked by index -1, for pixels without depth
+    tokens = np.array([json.dumps(v) for v in by_disparity.tolist()] + ["null"], dtype=object)
+    picked = tokens[np.where(avail, dmap.disparities, -1)]
+    # A depth that is not bit for bit its disparity's entry, which
+    # disparity_to_depth never makes, is rendered on its own, so the file
+    # holds exactly the map's values (NaN and -0.0 included).
+    entry_bits = by_disparity[dmap.disparities].view(np.uint64)
+    odd = avail & (entry_bits != depth.depths.view(np.uint64))
+    picked[odd] = [json.dumps(v) for v in depth.depths[odd].tolist()]
+    return f'{header[:-1]}, "depths_m": [{", ".join(picked.ravel().tolist())}]}}'
 
 
 def cmd_metrics(args) -> int:

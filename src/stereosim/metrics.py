@@ -30,8 +30,9 @@ class SsimParams:
     dynamic_range: int = 255
 
     def __post_init__(self):
-        if self.window_side < 1:
-            raise ValueError(f"window_side must be >= 1, got {self.window_side}")
+        # the variances are unbiased (divided by n - 1), so one pixel is too few
+        if self.window_side < 2:
+            raise ValueError(f"window_side must be >= 2, got {self.window_side}")
         if not self.k1 > 0 or not self.k2 > 0:
             raise ValueError(f"k1 and k2 must be positive, got {self.k1}, {self.k2}")
 

@@ -7,6 +7,7 @@ winner-takes-all selection. All cost arithmetic is integer-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 from dataclasses import dataclass
@@ -305,15 +306,21 @@ def disparity_to_depth(dmap: DisparityMap, focal_length: float, baseline: float)
     """Triangulate metric depth: depth = focal_length * baseline / disparity.
 
     Depth is available exactly where the disparity is valid and nonzero;
-    zero disparity means the point is at infinity.
+    zero disparity means the point is at infinity. focal_length * baseline
+    must be finite, so every available depth is finite too.
     """
     if not focal_length > 0:
         raise ValueError(f"focal_length must be positive, got {focal_length}")
     if not baseline > 0:
         raise ValueError(f"baseline must be positive, got {baseline}")
+    scale = focal_length * baseline
+    if not math.isfinite(scale):
+        raise ValueError(
+            f"focal_length * baseline must be finite, got {focal_length} * {baseline}"
+        )
     available = dmap.valid & (dmap.disparities > 0)
     depths = np.full(dmap.disparities.shape, np.nan)
-    depths[available] = (focal_length * baseline) / dmap.disparities[available]
+    depths[available] = scale / dmap.disparities[available]
     depths.setflags(write=False)
     avail = available.copy()
     avail.setflags(write=False)

@@ -4,6 +4,7 @@ Everything here is deliberately naive: plain Python loops over lists, no
 shared code with the implementation under test.
 """
 
+import json
 from fractions import Fraction
 
 
@@ -120,3 +121,20 @@ def count_rle_records(disp_rows, valid_rows, max_run=0xFFFF):
                 x += 1
             records += (run + max_run - 1) // max_run
     return records
+
+
+def naive_depth_json(dmap, depth):
+    """The depth document as one dict, a per-pixel list and one json.dumps."""
+    flat = [
+        float(depth.depths[y, x]) if depth.available[y, x] else None
+        for y in range(dmap.height)
+        for x in range(dmap.width)
+    ]
+    doc = {
+        "width": dmap.width,
+        "height": dmap.height,
+        "focal_length": depth.focal_length,
+        "baseline": depth.baseline,
+        "depths_m": flat,
+    }
+    return json.dumps(doc)

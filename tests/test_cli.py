@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,10 +7,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import stereosim
-from stereosim import parse_disparity, parse_pgm, serialize_pgm, texture
-from stereosim.cli import main
+from stereosim import (
+    DepthMap,
+    DisparityMap,
+    disparity_to_depth,
+    parse_disparity,
+    parse_pgm,
+    serialize_disparity,
+    serialize_pgm,
+    texture,
+)
+from stereosim.cli import _depth_json, main
+
+from oracles import naive_depth_json
 
 
 def run_cli(*argv):
@@ -164,6 +178,52 @@ def test_depth_summary_and_json(tmp_path, capsys):
     assert doc["width"] == 32 and doc["height"] == 32
     present = [v for v in doc["depths_m"] if v is not None]
     assert present and all(v == 100 * 0.5 / 2 for v in present)
+
+
+@pytest.mark.parametrize(
+    "focal, baseline",
+    [("inf", "0.5"), ("1e308", "10")],
+    ids=["infinite-focal-length", "overflowing-product"],
+)
+def test_depth_non_finite_scale_exits_two_and_writes_nothing(tmp_path, capsys, focal, baseline):
+    sidecar = tmp_path / "d.dsp"
+    sidecar.write_bytes(serialize_disparity(DisparityMap([[0, 3]], [[True, True]], 4)))
+    out = tmp_path / "depth.json"
+    code = run_cli("depth", str(sidecar), "--focal-length", focal, "--baseline", baseline,
+                   "--out", str(out))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "finite" in captured.err
+    assert not out.exists()
+
+
+@st.composite
+def depth_inputs(draw):
+    h = draw(st.integers(1, 6))
+    w = draw(st.integers(1, 10))
+    maxd = draw(st.integers(0, 40))
+    disp = draw(st.lists(st.integers(0, maxd), min_size=h * w, max_size=h * w))
+    valid = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    focal = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    baseline = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
+    assume(math.isfinite(focal * baseline))
+    return DisparityMap(np.reshape(disp, (h, w)), np.reshape(valid, (h, w)), maxd), focal, baseline
+
+
+@settings(max_examples=300)
+@given(depth_inputs(), st.lists(st.tuples(st.integers(0, 59), st.floats()), max_size=4))
+@example((DisparityMap(np.zeros((3, 4), int), np.ones((3, 4), bool), 0), 100.0, 0.5), [])  # all null
+@example((DisparityMap([[3, 7, 0, 9]], [[True, True, True, False]], 9), 100.0, 0.5), [])
+def test_depth_json_matches_per_pixel_writer(case, overrides):
+    dmap, focal, baseline = case
+    depth = disparity_to_depth(dmap, focal, baseline)
+    # depths off f*B/d, as a faulty triangulation could make, must reach the file as they are
+    depths = depth.depths.copy()
+    for i, value in overrides:
+        depths.flat[i % depths.size] = value
+    depth = DepthMap(depths, depth.available, depth.focal_length, depth.baseline)
+    assert _depth_json(dmap, depth) == naive_depth_json(dmap, depth)
 
 
 def test_bench_csv_shape(tmp_path, capsys):

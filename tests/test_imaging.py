@@ -70,7 +70,7 @@ def _pgm_streams():
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_pgm_streams())
 def test_parse_pgm_raises_only_its_parse_error(data):
     try:
@@ -80,7 +80,7 @@ def test_parse_pgm_raises_only_its_parse_error(data):
     assert isinstance(img, GrayImage)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     st.integers(1, 12).flatmap(
         lambda w: st.lists(

@@ -134,5 +134,8 @@ def test_ssim_dimension_mismatch():
 def test_ssim_params_validation():
     with pytest.raises(ValueError, match="window_side"):
         SsimParams(window_side=0)
+    # one pixel leaves the unbiased variance no degrees of freedom
+    with pytest.raises(ValueError, match="window_side must be >= 2, got 1"):
+        SsimParams(window_side=1)
     with pytest.raises(ValueError, match="k1 and k2"):
         SsimParams(k1=0.0)

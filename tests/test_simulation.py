@@ -101,7 +101,7 @@ def test_route_grid_tie_break_matches_exhaustive_search():
     assert got == expected == [0, 1, 2, 5, 8]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.integers(2, 7).flatmap(
         lambda n: st.tuples(

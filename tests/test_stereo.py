@@ -228,6 +228,10 @@ def test_depth_rejects_bad_geometry():
         disparity_to_depth(dmap, 0.0, 0.5)
     with pytest.raises(ValueError, match="baseline"):
         disparity_to_depth(dmap, 100.0, -1.0)
+    with pytest.raises(ValueError, match="finite"):
+        disparity_to_depth(dmap, float("inf"), 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        disparity_to_depth(dmap, 1e308, 10.0)
 
 
 def test_scale_to_gray_endpoints_and_midpoint():
@@ -368,7 +372,7 @@ def _alternating(h, w):
     return DisparityMap(np.indices((h, w)).sum(axis=0) % 2, np.ones((h, w), bool), 1)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(disparity_maps())
 @example(DisparityMap(np.zeros((4, 1), int), np.ones((4, 1), bool), 0))  # width 1
 @example(DisparityMap(np.arange(6).reshape(6, 1) % 3, np.zeros((6, 1), bool), 2))
@@ -411,7 +415,7 @@ def _streams(magic, encode):
 
 
 # max_disparity 70000 fits the u32 header field but not the u16 records
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_streams(b"DSR1", rle_encode_disparity))
 @example(b"DSR1" + struct.pack("<III", 1, 1, 70000) + b"\x01\x00\x00\x00\x01")
 def test_rle_decoder_raises_only_its_format_error(data):
@@ -422,7 +426,7 @@ def test_rle_decoder_raises_only_its_format_error(data):
     assert rle_decode_disparity(rle_encode_disparity(dmap)) == dmap
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_streams(b"DSP1", serialize_disparity))
 @example(b"DSP1" + struct.pack("<III", 1, 1, 70000) + b"\x00\x00\x01")
 def test_sidecar_decoder_raises_only_its_format_error(data):
