@@ -131,8 +131,8 @@ def parse_pgm(data: bytes) -> GrayImage:
     """Decode a binary PGM (magic P5, maxval up to 255) into a GrayImage.
 
     Header comments introduced by '#' are skipped. Pixels keep their stored
-    values and may not exceed maxval. Raises PgmParseError naming the
-    offending header field or byte offset on malformed input.
+    values, may not exceed maxval, and end the stream. Raises PgmParseError
+    naming the offending header field or byte offset on malformed input.
     """
     buf = bytes(data)
     if buf[:2] != b"P5":
@@ -161,6 +161,10 @@ def parse_pgm(data: bytes) -> GrayImage:
     if have < need:
         raise PgmParseError(
             f"pixel data truncated at byte offset {start}: need {need} bytes, have {have}"
+        )
+    if have > need:
+        raise PgmParseError(
+            f"{have - need} trailing bytes after pixel data at byte offset {start + need}"
         )
     px = np.frombuffer(buf, dtype=np.uint8, count=need, offset=start)
     if maxval < 255:
@@ -205,6 +209,12 @@ def downscale(img: GrayImage, factor: int) -> GrayImage:
     # exact round-half-away-from-zero for non-negative integer means
     out = (2 * sums + counts) // (2 * counts)
     return GrayImage(out)
+
+
+def _require_same_dims(a: GrayImage, b: GrayImage, a_name: str, b_name: str):
+    """Raise ValueError naming both operands unless the images have equal dimensions."""
+    if (a.width, a.height) != (b.width, b.height):
+        raise ValueError(f"{a_name} is {a.width}x{a.height} but {b_name} is {b.width}x{b.height}")
 
 
 def _window_sums(arr: np.ndarray, side: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage, _window_sums
+from .imaging import GrayImage, _require_same_dims, _window_sums
 
 __all__ = ["SsimParams", "MetricResult", "mse", "psnr", "ssim"]
 
@@ -49,14 +49,9 @@ class MetricResult:
     infinite: bool = False
 
 
-def _require_same_dims(a: GrayImage, b: GrayImage):
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError(f"a is {a.width}x{a.height} but b is {b.width}x{b.height}")
-
-
 def mse(a: GrayImage, b: GrayImage) -> float:
     """Mean squared intensity difference over all pixels."""
-    _require_same_dims(a, b)
+    _require_same_dims(a, b, "a", "b")
     diff = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
     total = int((diff * diff).sum())
     return total / (a.width * a.height)
@@ -84,7 +79,7 @@ def ssim(a: GrayImage, b: GrayImage, params: SsimParams | None = None) -> Metric
     """
     if params is None:
         params = SsimParams()
-    _require_same_dims(a, b)
+    _require_same_dims(a, b, "a", "b")
     side = params.window_side
     if a.width < side or a.height < side:
         raise ValueError(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import GrayImage, parse_pgm, pgm_num_bytes
+from .imaging import GrayImage, _require_same_dims, parse_pgm, pgm_num_bytes
 from .stereo import (
     DisparityMap,
     MatchParams,
@@ -112,7 +112,6 @@ class SensorNode:
     id: int
     role: str
     battery: float = 0.0
-    position: tuple[float, float] = (0.0, 0.0)
 
     @property
     def alive(self) -> bool:
@@ -344,11 +343,6 @@ def charge_transmission(
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Every validation finding, each prefixed with the offending location."""
-    return _validate(scenario)[0]
-
-
-def _validate(scenario: Scenario) -> tuple[list[str], dict[int, tuple[int, ...]]]:
-    """Validation findings plus the route table, which the checks build anyway."""
     errors: list[str] = []
     ids: dict[int, SensorNode] = {}
     for i, node in enumerate(scenario.nodes):
@@ -400,28 +394,19 @@ def _validate(scenario: Scenario) -> tuple[list[str], dict[int, tuple[int, ...]]
             continue
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
         for t, (lf, rf) in enumerate(pair.frames):
-            if (lf.width, lf.height) != (rf.width, rf.height):
-                errors.append(
-                    f"{where}.frames[{t}]: left is {lf.width}x{lf.height} "
-                    f"but right is {rf.width}x{rf.height}"
-                )
+            try:
+                _require_same_dims(lf, rf, "left", "right")
+            except ValueError as exc:
+                errors.append(f"{where}.frames[{t}]: {exc}")
             if (lf.width, lf.height) != (w, h):
                 errors.append(
                     f"{where}.frames[{t}]: {lf.width}x{lf.height} differs from step 0 ({w}x{h})"
                 )
-        if pair.match_params.window_side > min(w, h):
-            errors.append(
-                f"{where}.match: window side {pair.match_params.window_side} "
-                f"exceeds frame extent {w}x{h}"
-            )
-        if pair.match_params.max_disparity >= w:
-            errors.append(
-                f"{where}.match: max_disparity {pair.match_params.max_disparity} "
-                f"must be smaller than frame width {w}"
-            )
+        for finding in pair.match_params.extent_findings(w, h, "frame"):
+            errors.append(f"{where}.match: {finding}")
         if ok_nodes and len(sinks) == 1 and pair.left_node not in routes:
             errors.append(f"{where}: node {pair.left_node} has no route to sink {sinks[0].id}")
-    return errors, routes
+    return errors
 
 
 def _perceive(
@@ -448,9 +433,10 @@ def run_simulation(scenario: Scenario) -> SimReport:
     recent step used it. Every executed pair-step still pays its energy and
     counts its nominal elementary_ops.
     """
-    errors, routes = _validate(scenario)
+    errors = validate_scenario(scenario)
     if errors:
         raise ScenarioError(errors)
+    routes = _route_table(scenario)
     model = scenario.energy
 
     nodes = {n.id: replace(n) for n in scenario.nodes}
@@ -668,31 +654,29 @@ class _Loader:
         if not isinstance(role, str):
             self.fail(f"{where}.role", "required string")
             role = None
-        battery = self.get_number(where, obj, "battery", default=0.0)
-        position = (0.0, 0.0)
+        battery = self.get_number(where, obj, "battery", default=SensorNode.battery)
+        # position is checked but not stored: nothing in the simulation reads it
         if "position" in obj:
             p = obj["position"]
-            if (
+            if not (
                 isinstance(p, list)
                 and len(p) == 2
                 and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
-                and None not in (coords := tuple(_finite_float(c) for c in p))
+                and None not in map(_finite_float, p)
             ):
-                position = coords
-            else:
                 self.fail(f"{where}.position", "must be a [x, y] pair of finite numbers")
         if nid is None or role is None or battery is None:
             return None
-        return SensorNode(id=nid, role=role, battery=battery, position=position)
+        return SensorNode(id=nid, role=role, battery=battery)
 
     def load_match(self, where: str, obj) -> MatchParams | None:
         if obj is None:
             obj = {}
         if not self.expect_object(where, obj, {"window_radius", "max_disparity", "method"}):
             return None
-        radius = self.get_int(where, obj, "window_radius", default=3, minimum=0)
-        maxd = self.get_int(where, obj, "max_disparity", default=64, minimum=0)
-        method = obj.get("method", "sad")
+        radius = self.get_int(where, obj, "window_radius", default=MatchParams.window_radius, minimum=0)
+        maxd = self.get_int(where, obj, "max_disparity", default=MatchParams.max_disparity, minimum=0)
+        method = obj.get("method", MatchParams.method)
         try:
             return MatchParams(window_radius=radius, max_disparity=maxd, method=method)
         except (TypeError, ValueError) as exc:
@@ -761,7 +745,11 @@ class _Loader:
                 return None
         elif isinstance(raw, int) and not isinstance(raw, bool):
             steps = self.get_int(where, obj, "steps", minimum=1)
-            shifts = None if steps is None else [raw] * steps
+            try:
+                shifts = None if steps is None else [raw] * steps
+            except (OverflowError, MemoryError):
+                self.fail(f"{where}.steps", f"too many steps to hold in memory, got {steps}")
+                return None
         else:
             self.fail(f"{where}.shift_per_step", "must be an integer or a list of integers")
             return None
@@ -779,8 +767,8 @@ class _Loader:
             return None
         left = self.get_int(where, obj, "left")
         right = self.get_int(where, obj, "right")
-        baseline = self.get_number(where, obj, "baseline", default=0.1)
-        focal = self.get_number(where, obj, "focal_length", default=100.0)
+        baseline = self.get_number(where, obj, "baseline", default=StereoPair.baseline)
+        focal = self.get_number(where, obj, "focal_length", default=StereoPair.focal_length)
         match = self.load_match(f"{where}.match", obj.get("match"))
         if "frames" not in obj:
             self.fail(f"{where}.frames", "required")
@@ -797,22 +785,19 @@ class _Loader:
             focal_length=focal,
         )
 
-    def load_energy(self, where: str, obj) -> EnergyModel:
+    def load_energy(self, where: str, obj) -> EnergyModel | None:
+        keys = ("tx_energy_per_64kb", "cpu_energy_per_64kb_processed")
         if obj is None:
             return EnergyModel()
-        allowed = {"tx_energy_per_64kb", "cpu_energy_per_64kb_processed"}
-        if not self.expect_object(where, obj, allowed):
-            return EnergyModel()
-        tx = self.get_number(where, obj, "tx_energy_per_64kb", default=377.0)
-        cpu = self.get_number(where, obj, "cpu_energy_per_64kb_processed", default=0.00195)
+        if not self.expect_object(where, obj, set(keys)):
+            return None
+        given = {key: self.get_number(where, obj, key) for key in keys if key in obj}
         try:
-            return EnergyModel(
-                tx_energy_per_64kb=tx if tx is not None else 377.0,
-                cpu_energy_per_64kb_processed=cpu if cpu is not None else 0.00195,
-            )
+            # a rate that failed its own check is left out, so the other is still checked
+            return EnergyModel(**{key: v for key, v in given.items() if v is not None})
         except ValueError as exc:
             self.fail(where, str(exc))
-            return EnergyModel()
+            return None
 
 
 def scenario_from_dict(data: dict, base_dir: Path | str | None = None) -> Scenario:
@@ -826,16 +811,11 @@ def scenario_from_dict(data: dict, base_dir: Path | str | None = None) -> Scenar
         "$", data, {"nodes", "pairs", "links", "policy", "event_threshold", "seed", "energy"}
     ):
         raise ScenarioError(loader.errors)
-    seed = loader.get_int("$", data, "seed", default=0)
-    if seed is None:
-        seed = 0
-    policy = data.get("policy", "disparity_on_event")
+    seed = loader.get_int("$", data, "seed", default=Scenario.seed)
+    policy = data.get("policy", Scenario.policy)
     if not isinstance(policy, str) or policy not in POLICIES:
         loader.fail("$.policy", f"must be one of {POLICIES}, got {policy!r}")
-        policy = "disparity_on_event"
-    threshold = loader.get_number("$", data, "event_threshold", default=1.0)
-    if threshold is None:
-        threshold = 1.0
+    threshold = loader.get_number("$", data, "event_threshold", default=Scenario.event_threshold)
     energy = loader.load_energy("$.energy", data.get("energy"))
 
     nodes = []
@@ -868,8 +848,10 @@ def scenario_from_dict(data: dict, base_dir: Path | str | None = None) -> Scenar
     if not isinstance(raw_pairs, list):
         loader.fail("$.pairs", "must be a list")
     else:
+        # a bad seed is reported already; frames still load so that their findings are listed
+        frame_seed = Scenario.seed if seed is None else seed
         for i, obj in enumerate(raw_pairs):
-            pair = loader.load_pair(f"pairs[{i}]", obj, seed)
+            pair = loader.load_pair(f"pairs[{i}]", obj, frame_seed)
             if pair is not None:
                 pairs.append(pair)
 
@@ -889,7 +871,10 @@ def scenario_from_dict(data: dict, base_dir: Path | str | None = None) -> Scenar
 def load_scenario(path: Path | str) -> Scenario:
     """Read and build a scenario file; frame paths resolve beside it."""
     path = Path(path)
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except RecursionError:
+        raise ScenarioError(["$: nested too deeply to parse"]) from None
     return scenario_from_dict(data, base_dir=path.parent)
 
 

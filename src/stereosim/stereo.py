@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage, PixelCoord, _window_sums
+from .imaging import GrayImage, PixelCoord, _require_same_dims, _window_sums
 
 __all__ = [
     "METHODS",
@@ -51,7 +51,7 @@ class MatchParams:
 
     The support window side is 2 * window_radius + 1 and must fit inside the
     matched images; max_disparity must be smaller than the image width.
-    Those two image-dependent constraints are checked where images are known.
+    extent_findings checks those two constraints once the image size is known.
     """
 
     window_radius: int = 3
@@ -69,6 +69,17 @@ class MatchParams:
     @property
     def window_side(self) -> int:
         return 2 * self.window_radius + 1
+
+    def extent_findings(self, width: int, height: int, noun: str) -> list[str]:
+        """Each way a width x height image is too small for these params; noun names the image."""
+        findings = []
+        if self.window_side > min(width, height):
+            findings.append(f"window side {self.window_side} exceeds {noun} extent {width}x{height}")
+        if self.max_disparity >= width:
+            findings.append(
+                f"max_disparity {self.max_disparity} must be smaller than {noun} width {width}"
+            )
+        return findings
 
 
 class DisparityMap:
@@ -182,25 +193,6 @@ class CostStats:
     wall_time: float
 
 
-def _require_same_dims(left: GrayImage, right: GrayImage):
-    if (left.width, left.height) != (right.width, right.height):
-        raise ValueError(
-            f"left is {left.width}x{left.height} but right is {right.width}x{right.height}"
-        )
-
-
-def _check_params(params: MatchParams, img: GrayImage):
-    if params.window_side > min(img.width, img.height):
-        raise ValueError(
-            f"window side {params.window_side} exceeds image extent "
-            f"{img.width}x{img.height}"
-        )
-    if params.max_disparity >= img.width:
-        raise ValueError(
-            f"max_disparity {params.max_disparity} must be smaller than image width {img.width}"
-        )
-
-
 def window_cost(
     left: GrayImage, right: GrayImage, at: PixelCoord, d: int, params: MatchParams
 ) -> int:
@@ -256,8 +248,10 @@ def compute_disparity(
     Border pixels whose windows cannot be evaluated at every candidate
     disparity are marked invalid. The result is bit-identical across runs.
     """
-    _require_same_dims(left, right)
-    _check_params(params, left)
+    _require_same_dims(left, right, "left", "right")
+    findings = params.extent_findings(left.width, left.height, "image")
+    if findings:
+        raise ValueError(findings[0])
     t0 = time.perf_counter()
 
     h, w = left.height, left.width
@@ -307,16 +301,16 @@ def disparity_to_depth(dmap: DisparityMap, focal_length: float, baseline: float)
 
     Depth is available exactly where the disparity is valid and nonzero;
     zero disparity means the point is at infinity. focal_length * baseline
-    must be finite, so every available depth is finite too.
+    must be finite and positive, so every available depth is finite and positive too.
     """
     if not focal_length > 0:
         raise ValueError(f"focal_length must be positive, got {focal_length}")
     if not baseline > 0:
         raise ValueError(f"baseline must be positive, got {baseline}")
     scale = focal_length * baseline
-    if not math.isfinite(scale):
+    if not (math.isfinite(scale) and scale > 0):
         raise ValueError(
-            f"focal_length * baseline must be finite, got {focal_length} * {baseline}"
+            f"focal_length * baseline must be finite and positive, got {focal_length} * {baseline}"
         )
     available = dmap.valid & (dmap.disparities > 0)
     depths = np.full(dmap.disparities.shape, np.nan)

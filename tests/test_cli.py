@@ -182,8 +182,8 @@ def test_depth_summary_and_json(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "focal, baseline",
-    [("inf", "0.5"), ("1e308", "10")],
-    ids=["infinite-focal-length", "overflowing-product"],
+    [("inf", "0.5"), ("1e308", "10"), ("1e-200", "1e-200")],
+    ids=["infinite-focal-length", "overflowing-product", "underflowing-product"],
 )
 def test_depth_non_finite_scale_exits_two_and_writes_nothing(tmp_path, capsys, focal, baseline):
     sidecar = tmp_path / "d.dsp"
@@ -207,7 +207,7 @@ def depth_inputs(draw):
     valid = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
     focal = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
     baseline = draw(st.floats(min_value=0, exclude_min=True, allow_infinity=False))
-    assume(math.isfinite(focal * baseline))
+    assume(math.isfinite(focal * baseline) and focal * baseline > 0)
     return DisparityMap(np.reshape(disp, (h, w)), np.reshape(valid, (h, w)), maxd), focal, baseline
 
 
@@ -333,6 +333,65 @@ def test_simulate_non_finite_number_exits_two(tmp_path, capsys, path, value, whe
     assert run_cli("simulate", str(scenario), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"{where}: must be a" in err and "finite number" in err
+    assert not out.exists()
+
+
+def _replaced(path, value):
+    """Scenario bytes with the value at path (a key/index tuple) replaced."""
+
+    def build(doc):
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        return json.dumps(doc).encode()
+
+    return build
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda doc: b"", "Expecting value"),
+        (lambda doc: b"\xff\xfe{", "error:"),  # the decoding error depends on the locale
+        (lambda doc: b"[" * 100_000 + b"]" * 100_000, "$: nested too deeply to parse"),
+        (
+            _replaced(("pairs", 0, "frames", "synthetic", "steps"), 10**30),
+            "pairs[0].frames.synthetic.steps: too many steps to hold in memory",
+        ),
+        (lambda doc: b"[]", "$: must be an object, got list"),
+        (_replaced(("energy",), []), "$.energy: must be an object, got list"),
+        (_replaced(("nodes",), {}), "$.nodes: must be a non-empty list"),
+        (_replaced(("nodes", 0), "sink"), "nodes[0]: must be an object, got str"),
+        (_replaced(("links",), {}), "$.links: must be a list, got dict"),
+        (_replaced(("links", 0), "0-1"), "links[0]: must be an [a, b] node id pair"),
+        (_replaced(("pairs",), {}), "$.pairs: must be a list"),
+        (_replaced(("pairs", 0), []), "pairs[0]: must be an object, got list"),
+        (_replaced(("pairs", 0, "match"), []), "pairs[0].match: must be an object, got list"),
+        (_replaced(("pairs", 0, "frames"), 7), "pairs[0].frames: must be an object, got int"),
+        (
+            _replaced(("pairs", 0, "frames", "synthetic"), "x"),
+            "pairs[0].frames.synthetic: must be an object, got str",
+        ),
+        (
+            _replaced(("pairs", 0, "frames", "synthetic", "shift_per_step"), {}),
+            "pairs[0].frames.synthetic.shift_per_step: must be an integer or a list",
+        ),
+    ],
+    ids=[
+        "empty", "non-utf8", "deep-nesting", "huge-steps", "top-level-list", "energy-list",
+        "nodes-object", "node-string", "links-object", "link-string", "pairs-object",
+        "pair-list", "match-list", "frames-int", "synthetic-string", "shift-object",
+    ],
+)
+def test_simulate_malformed_scenario_file_exits_two(tmp_path, capsys, build, message):
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    scenario = tmp_path / "malformed.json"
+    scenario.write_bytes(build(doc))
+    out = tmp_path / "r.json"
+    assert run_cli("simulate", str(scenario), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert not out.exists()
 
 

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stereosim import GrayImage, PgmParseError, downscale, parse_pgm, pgm_num_bytes, serialize_pgm
@@ -55,6 +55,11 @@ def test_parse_rejects_pixels_above_maxval():
         parse_pgm(b"P5\n2 1\n100\n\x05\xc8")
 
 
+def test_parse_rejects_trailing_bytes():
+    with pytest.raises(PgmParseError, match="4 trailing bytes after pixel data at byte offset 12"):
+        parse_pgm(b"P5\n1 1\n255\n\x07junk")
+
+
 def _pgm_streams():
     """Arbitrary bytes, bytes behind the magic, and small headers over random pixel bytes."""
     header = st.builds(
@@ -72,6 +77,7 @@ def _pgm_streams():
 
 @settings(max_examples=300)
 @given(_pgm_streams())
+@example(b"P5\n1 1\n255\n\x07junk")  # trailing bytes
 def test_parse_pgm_raises_only_its_parse_error(data):
     try:
         img = parse_pgm(data)

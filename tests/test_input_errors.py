@@ -1,4 +1,4 @@
-"""Golden error messages for scenario and disparity inputs.
+"""Golden error messages for scenario and disparity inputs, and a scenario loader property.
 
 The scenario corpus starts from one valid scenario and, at every key and
 list position of every level, sets the value to each of VALUES, deletes it,
@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stereosim import MatchParams, Scenario, SensorNode, StereoPair, shifted_sequence, texture
 from stereosim import serialize_pgm
@@ -73,8 +75,9 @@ def _locations(node, path=()):
             yield from _locations(v, path + (i,))
 
 
-def _mutated(path, value):
-    holder = [copy.deepcopy(BASE)]
+def _mutated(doc, path, value):
+    """A copy of doc with the value at path set, deleted (_DELETE) or given an extra key (_UNKNOWN)."""
+    holder = [copy.deepcopy(doc)]
     parent = holder
     *steps, last = (0,) + path
     for step in steps:
@@ -95,11 +98,11 @@ def corpus():
         for value in VALUES:
             if path[-1:] == ("steps",) and value == 10**400:
                 continue  # the loader's [shift] * steps overflows; kept out of the corpus
-            yield f"{where}={value!r:.20}", _mutated(path, value)
+            yield f"{where}={value!r:.20}", _mutated(BASE, path, value)
         if path:
-            yield f"{where} deleted", _mutated(path, _DELETE)
+            yield f"{where} deleted", _mutated(BASE, path, _DELETE)
         if isinstance(node, dict):
-            yield f"{where} with an unknown key", _mutated(path, _UNKNOWN)
+            yield f"{where} with an unknown key", _mutated(BASE, path, _UNKNOWN)
 
 
 def findings(doc) -> list[str]:
@@ -116,6 +119,46 @@ def test_error_corpus_matches_golden():
     assert len(cases) == len(expected)
     for (label, doc), want in zip(cases, expected):
         assert findings(doc) == want, label
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """BASE with one to three values replaced or deleted.
+
+    Integers stay small, so no example asks for a huge synthetic allocation.
+    """
+    doc = BASE
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([p for p, _ in _locations(doc)]))
+        value = draw(_json_values | st.just(_DELETE)) if path else draw(_json_values)
+        doc = _mutated(doc, path, value)
+    return doc
+
+
+_STEPS = ("pairs", 0, "frames", "synthetic", "steps")
+
+
+@settings(max_examples=300)
+@given(mutated_scenarios())
+@example(_mutated(BASE, _STEPS, 10**30))
+@example(_mutated(BASE, _STEPS, 10**400))
+@example(_mutated(BASE, ("pairs", 0, "frames", "synthetic", "width"), 10**400))
+@example(_mutated(_mutated(BASE, ("seed",), 10**400), ("event_threshold",), 10**400))
+@example(_mutated(BASE, ("nodes", 1, "battery"), 10**400))
+def test_scenario_from_dict_raises_only_scenario_error(doc):
+    try:
+        scenario = scenario_from_dict(doc)
+    except ScenarioError as exc:
+        assert exc.errors and all(isinstance(e, str) for e in exc.errors)
+        return
+    assert all(isinstance(e, str) for e in validate_scenario(scenario))
 
 
 def test_validation_findings_are_pinned():

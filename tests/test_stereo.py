@@ -232,6 +232,8 @@ def test_depth_rejects_bad_geometry():
         disparity_to_depth(dmap, float("inf"), 0.5)
     with pytest.raises(ValueError, match="finite"):
         disparity_to_depth(dmap, 1e308, 10.0)
+    with pytest.raises(ValueError, match="finite and positive"):  # f * B underflows to 0.0
+        disparity_to_depth(dmap, 1e-200, 1e-200)
 
 
 def test_scale_to_gray_endpoints_and_midpoint():
