@@ -4,7 +4,6 @@ camera sensor network simulator with a file-based CLI."""
 from .imaging import (
     GrayImage,
     PgmParseError,
-    PixelCoord,
     downscale,
     parse_pgm,
     pgm_num_bytes,
@@ -47,7 +46,6 @@ from .stereo import (
     scale_to_gray,
     serialize_disparity,
     sidecar_num_bytes,
-    window_cost,
 )
 from .synthetic import shifted_pair, shifted_sequence, texture
 

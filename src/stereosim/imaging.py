@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "GrayImage",
-    "PixelCoord",
     "PgmParseError",
     "parse_pgm",
     "serialize_pgm",
@@ -21,14 +18,6 @@ _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 class PgmParseError(ValueError):
     """Raised when a byte stream is not a valid 8-bit binary PGM."""
-
-
-@dataclass(frozen=True)
-class PixelCoord:
-    """Zero-based raster coordinate, x is the column and y the row."""
-
-    x: int
-    y: int
 
 
 class GrayImage:

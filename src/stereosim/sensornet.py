@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -669,19 +670,38 @@ class _Loader:
             return None
         return SensorNode(id=nid, role=role, battery=battery)
 
-    def load_match(self, where: str, obj) -> MatchParams | None:
+    def load_fields(self, where: str, obj, cls, readers: dict):
+        """A cls built from a JSON object's fields (null means {}), or None after a finding.
+
+        Each field present is read by readers[key](where, obj, key). A field
+        that fails its own check is left out, so its dataclass default stands
+        in and cls still checks the others; a ValueError from cls is one
+        finding at where.
+        """
         if obj is None:
             obj = {}
-        if not self.expect_object(where, obj, {"window_radius", "max_disparity", "method"}):
+        if not self.expect_object(where, obj, set(readers)):
             return None
-        radius = self.get_int(where, obj, "window_radius", default=MatchParams.window_radius, minimum=0)
-        maxd = self.get_int(where, obj, "max_disparity", default=MatchParams.max_disparity, minimum=0)
-        method = obj.get("method", MatchParams.method)
+        before = len(self.errors)
+        fields = {}
+        for key, read in readers.items():
+            if key in obj:
+                found = len(self.errors)
+                value = read(where, obj, key)
+                if len(self.errors) == found:
+                    fields[key] = value
         try:
-            return MatchParams(window_radius=radius, max_disparity=maxd, method=method)
-        except (TypeError, ValueError) as exc:
+            built = cls(**fields)
+        except ValueError as exc:
             self.fail(where, str(exc))
             return None
+        return built if len(self.errors) == before else None
+
+    def load_match(self, where: str, obj) -> MatchParams | None:
+        count = partial(self.get_int, minimum=0)
+        # method is passed as given: JSON null is a value, which MatchParams reports
+        readers = {"window_radius": count, "max_disparity": count, "method": lambda w, o, k: o[k]}
+        return self.load_fields(where, obj, MatchParams, readers)
 
     def load_frames(self, where: str, obj, scenario_seed: int):
         if not self.expect_object(where, obj, {"files", "synthetic"}):
@@ -729,7 +749,7 @@ class _Loader:
             return None
         width = self.get_int(where, obj, "width", minimum=1)
         height = self.get_int(where, obj, "height", minimum=1)
-        seed = self.get_int(where, obj, "seed", default=scenario_seed)
+        seed = self.get_int(where, obj, "seed", default=scenario_seed, minimum=0)
         raw = obj.get("shift_per_step", 0)
         if isinstance(raw, list):
             if not raw or not all(isinstance(s, int) and not isinstance(s, bool) for s in raw):
@@ -786,18 +806,8 @@ class _Loader:
         )
 
     def load_energy(self, where: str, obj) -> EnergyModel | None:
-        keys = ("tx_energy_per_64kb", "cpu_energy_per_64kb_processed")
-        if obj is None:
-            return EnergyModel()
-        if not self.expect_object(where, obj, set(keys)):
-            return None
-        given = {key: self.get_number(where, obj, key) for key in keys if key in obj}
-        try:
-            # a rate that failed its own check is left out, so the other is still checked
-            return EnergyModel(**{key: v for key, v in given.items() if v is not None})
-        except ValueError as exc:
-            self.fail(where, str(exc))
-            return None
+        readers = dict.fromkeys(("tx_energy_per_64kb", "cpu_energy_per_64kb_processed"), self.get_number)
+        return self.load_fields(where, obj, EnergyModel, readers)
 
 
 def scenario_from_dict(data: dict, base_dir: Path | str | None = None) -> Scenario:
@@ -811,7 +821,7 @@ def scenario_from_dict(data: dict, base_dir: Path | str | None = None) -> Scenar
         "$", data, {"nodes", "pairs", "links", "policy", "event_threshold", "seed", "energy"}
     ):
         raise ScenarioError(loader.errors)
-    seed = loader.get_int("$", data, "seed", default=Scenario.seed)
+    seed = loader.get_int("$", data, "seed", default=Scenario.seed, minimum=0)
     policy = data.get("policy", Scenario.policy)
     if not isinstance(policy, str) or policy not in POLICIES:
         loader.fail("$.policy", f"must be one of {POLICIES}, got {policy!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage, PixelCoord, _require_same_dims, _window_sums
+from .imaging import GrayImage, _require_same_dims, _window_sums
 
 __all__ = [
     "METHODS",
@@ -22,7 +22,6 @@ __all__ = [
     "DisparityMap",
     "DepthMap",
     "CostStats",
-    "window_cost",
     "compute_disparity",
     "disparity_to_depth",
     "scale_to_gray",
@@ -193,34 +192,6 @@ class CostStats:
     wall_time: float
 
 
-def window_cost(
-    left: GrayImage, right: GrayImage, at: PixelCoord, d: int, params: MatchParams
-) -> int:
-    """Aggregated matching cost of the window at `at` against disparity d.
-
-    sad sums absolute intensity differences between the left window centered
-    at (x, y) and the right window centered at (x - d, y); ssd sums their
-    squares. Both windows must lie fully inside their images; violating that
-    is a caller bug and raises ValueError.
-    """
-    r = params.window_radius
-    x, y = at.x, at.y
-    if d < 0:
-        raise ValueError(f"disparity must be >= 0, got {d}")
-    if y - r < 0 or y + r >= left.height or x - r < 0 or x + r >= left.width:
-        raise ValueError(f"left window around ({x}, {y}) with radius {r} is out of bounds")
-    if x - d - r < 0 or x - d + r >= right.width:
-        raise ValueError(
-            f"right window around ({x - d}, {y}) with radius {r} is out of bounds"
-        )
-    lw = left.pixels[y - r : y + r + 1, x - r : x + r + 1].astype(np.int64)
-    rw = right.pixels[y - r : y + r + 1, x - d - r : x - d + r + 1].astype(np.int64)
-    diff = np.abs(lw - rw)
-    if params.method == "ssd":
-        diff = diff * diff
-    return int(diff.sum())
-
-
 def _agg_dtype(method: str, window_side: int) -> type:
     """Narrowest signed integer type that holds any window sum exactly.
 
@@ -244,7 +215,9 @@ def compute_disparity(
     """Dense winner-takes-all disparity of the left image against the right.
 
     For every valid pixel the disparity is the argmin over d in
-    [0, max_disparity] of window_cost, ties broken toward the smallest d.
+    [0, max_disparity] of the window cost: the sum, over the support window,
+    of the absolute (sad) or squared (ssd) difference between left(x, y) and
+    right(x - d, y). Ties break toward the smallest d.
     Border pixels whose windows cannot be evaluated at every candidate
     disparity are marked invalid. The result is bit-identical across runs.
     """

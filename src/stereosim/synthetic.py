@@ -19,7 +19,11 @@ def texture(width: int, height: int, seed: int) -> GrayImage:
     if width < 1 or height < 1:
         raise ValueError(f"texture dimensions must be at least 1x1, got {width}x{height}")
     rng = np.random.default_rng(seed)
-    return GrayImage(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+    try:
+        pixels = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+    except (ValueError, MemoryError):  # numpy refuses the size, or the allocation fails at once
+        raise ValueError("texture too large to hold in memory") from None
+    return GrayImage(pixels)
 
 
 def shifted_sequence(

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +17,14 @@ import stereosim
 from stereosim import (
     DepthMap,
     DisparityMap,
+    MatchParams,
+    compute_disparity,
     disparity_to_depth,
     parse_disparity,
     parse_pgm,
     serialize_disparity,
     serialize_pgm,
+    shifted_pair,
     texture,
 )
 from stereosim.cli import _depth_json, main
@@ -89,6 +95,19 @@ def test_generate_rejects_shift_wider_than_frame(tmp_path, capsys):
                    "--out", str(tmp_path / "p"))
     assert code == 2
     assert "shift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "width, height",
+    [(10**9, 10**9), (10**400, 4), (2**62, 4)],  # numpy refuses each before touching memory
+    ids=["memory-error", "dimension-too-large", "array-too-big"],
+)
+def test_generate_too_large_to_hold_in_memory_exits_two(tmp_path, capsys, width, height):
+    code = run_cli("generate", "--width", str(width), "--height", str(height),
+                   "--out", str(tmp_path / "p"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: texture too large to hold in memory\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_disparity_identical_inputs_render_zero(tmp_path, capsys):
@@ -377,11 +396,22 @@ def _replaced(path, value):
             _replaced(("pairs", 0, "frames", "synthetic", "shift_per_step"), {}),
             "pairs[0].frames.synthetic.shift_per_step: must be an integer or a list",
         ),
+        (_replaced(("seed",), -1), "$.seed: must be >= 0, got -1"),
+        (
+            # 10**18 bytes: numpy refuses it before touching memory
+            _replaced(("pairs", 0, "frames", "synthetic"), {"width": 10**9, "height": 10**9, "steps": 1}),
+            "pairs[0].frames.synthetic: texture too large to hold in memory",
+        ),
+        (
+            _replaced(("pairs", 0, "match", "window_radius"), "x"),
+            "pairs[0].match.window_radius: must be an integer, got str",
+        ),
     ],
     ids=[
         "empty", "non-utf8", "deep-nesting", "huge-steps", "top-level-list", "energy-list",
         "nodes-object", "node-string", "links-object", "link-string", "pairs-object",
         "pair-list", "match-list", "frames-int", "synthetic-string", "shift-object",
+        "negative-seed", "huge-frames", "radius-string",
     ],
 )
 def test_simulate_malformed_scenario_file_exits_two(tmp_path, capsys, build, message):
@@ -392,7 +422,80 @@ def test_simulate_malformed_scenario_file_exits_two(tmp_path, capsys, build, mes
     assert run_cli("simulate", str(scenario), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    # one fault, one finding: at most the "scenario validation failed" line and the finding
+    assert len(err.splitlines()) <= 2, err
     assert not out.exists()
+
+
+_LEFT, _RIGHT = (serialize_pgm(image) for image in shifted_pair(16, 12, 2, 3))
+_VALID_INPUTS = {
+    "disparity": _LEFT,
+    "depth": serialize_disparity(compute_disparity(parse_pgm(_LEFT), parse_pgm(_RIGHT), MatchParams(1, 4))[0]),
+    "metrics": _LEFT,
+    "simulate": json.dumps({
+        "nodes": [{"id": 0, "role": "sink"}] + [{"id": i, "role": "camera", "battery": 1e6} for i in range(1, 5)],
+        "links": [[0, 1], [1, 2], [0, 3], [3, 4]],
+        "pairs": [
+            {"left": 1, "right": 2, "match": {"window_radius": 1, "max_disparity": 4},
+             "frames": {"files": [["left.pgm", "right.pgm"]]}},
+            {"left": 3, "right": 4, "match": {"window_radius": 1, "max_disparity": 4, "method": "ssd"},
+             "frames": {"synthetic": {"width": 16, "height": 12, "shift_per_step": [1, 3]}}},
+        ],
+    }).encode(),
+}
+_FUZZ_ARGV = {
+    "disparity": ["disparity", "{dir}/input", "{dir}/right.pgm", "--radius", "1", "--max-disparity", "4",
+                  "--out", "{dir}/out"],
+    "depth": ["depth", "{dir}/input", "--focal-length", "100", "--baseline", "0.5", "--out", "{dir}/depth.json"],
+    "metrics": ["metrics", "{dir}/input", "{dir}/right.pgm"],
+    "simulate": ["simulate", "{dir}/input", "--out", "{dir}/report.json"],
+}
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """A command and its input file: arbitrary bytes, or a valid file with one to three byte edits.
+
+    Edits only replace, insert or delete single bytes, so a number in the
+    scenario grows by three digits at most and no example allocates much.
+    """
+    command = draw(st.sampled_from(sorted(_VALID_INPUTS)))
+    if draw(st.booleans()):
+        return command, draw(st.binary(max_size=64))
+    data = bytearray(_VALID_INPUTS[command])
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            data.insert(i, byte)
+        elif i < len(data):
+            if edit == "replace":
+                data[i] = byte
+            else:
+                del data[i]
+    return command, bytes(data)
+
+
+@settings(max_examples=300)
+@given(fuzzed_inputs())
+@example(("disparity", _VALID_INPUTS["disparity"]))
+@example(("depth", _VALID_INPUTS["depth"]))
+@example(("metrics", _VALID_INPUTS["metrics"]))
+@example(("simulate", _VALID_INPUTS["simulate"]))
+def test_fuzzed_input_file_exits_zero_or_two_without_traceback(case):
+    command, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        (folder / "left.pgm").write_bytes(_LEFT)
+        (folder / "right.pgm").write_bytes(_RIGHT)
+        (folder / "input").write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([arg.format(dir=tmp) for arg in _FUZZ_ARGV[command]])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_internal_error_exits_one(tmp_path, capsys, monkeypatch):

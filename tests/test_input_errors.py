@@ -12,6 +12,7 @@ Regenerate the fixture only for an intended change to a message:
 
 import copy
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -144,6 +145,16 @@ def mutated_scenarios(draw):
 
 _STEPS = ("pairs", 0, "frames", "synthetic", "steps")
 
+# "<json path>: <message>"; a path segment after "." may be any key the input holds
+_FINDING = re.compile(r"(\$|nodes|links|pairs|policy|event_threshold)(\[\d+\]|\..*?)*: .+", re.S)
+# a comparison with a failed field, and numpy's own wording for sizes and seeds
+_FOREIGN_WORDING = (
+    "not supported between instances",
+    "Maximum allowed dimension",
+    "array is too big",
+    "expected non-negative integer",
+)
+
 
 @settings(max_examples=300)
 @given(mutated_scenarios())
@@ -152,13 +163,19 @@ _STEPS = ("pairs", 0, "frames", "synthetic", "steps")
 @example(_mutated(BASE, ("pairs", 0, "frames", "synthetic", "width"), 10**400))
 @example(_mutated(_mutated(BASE, ("seed",), 10**400), ("event_threshold",), 10**400))
 @example(_mutated(BASE, ("nodes", 1, "battery"), 10**400))
+@example(_mutated(BASE, ("seed",), -1))
+@example(_mutated(BASE, ("pairs", 0, "match", "window_radius"), "x"))
 def test_scenario_from_dict_raises_only_scenario_error(doc):
     try:
         scenario = scenario_from_dict(doc)
     except ScenarioError as exc:
-        assert exc.errors and all(isinstance(e, str) for e in exc.errors)
-        return
-    assert all(isinstance(e, str) for e in validate_scenario(scenario))
+        errors = exc.errors
+        assert errors
+    else:
+        errors = validate_scenario(scenario)
+    for e in errors:
+        assert isinstance(e, str) and _FINDING.fullmatch(e), e
+        assert not any(phrase in e for phrase in _FOREIGN_WORDING), e
 
 
 def test_validation_findings_are_pinned():

@@ -10,7 +10,6 @@ from stereosim import (
     DisparityMap,
     GrayImage,
     MatchParams,
-    PixelCoord,
     compute_disparity,
     disparity_to_depth,
     parse_disparity,
@@ -22,10 +21,9 @@ from stereosim import (
     shifted_pair,
     sidecar_num_bytes,
     texture,
-    window_cost,
 )
 
-from oracles import count_rle_records, naive_disparity, naive_window_cost
+from oracles import count_rle_records, naive_disparity
 
 
 def test_match_params_validation():
@@ -36,42 +34,6 @@ def test_match_params_validation():
     with pytest.raises(ValueError, match="method"):
         MatchParams(method="census")
     assert MatchParams(window_radius=3).window_side == 7
-
-
-def test_window_cost_identical_windows():
-    img = texture(9, 9, seed=0)
-    for method in ("sad", "ssd"):
-        params = MatchParams(2, 0, method)
-        assert window_cost(img, img, PixelCoord(4, 4), 0, params) == 0
-
-
-def test_window_cost_single_pixel_window():
-    left = GrayImage([[30]])
-    right = GrayImage([[20]])
-    at = PixelCoord(0, 0)
-    assert window_cost(left, right, at, 0, MatchParams(0, 0, "sad")) == 10
-    assert window_cost(left, right, at, 0, MatchParams(0, 0, "ssd")) == 100
-
-
-def test_window_cost_matches_reference():
-    left = texture(5, 5, seed=11)
-    right = texture(5, 5, seed=12)
-    lp = left.pixels.tolist()
-    rp = right.pixels.tolist()
-    for method in ("sad", "ssd"):
-        params = MatchParams(1, 0, method)
-        for d in (0, 1, 2):
-            got = window_cost(left, right, PixelCoord(3, 2), d, params)
-            assert got == naive_window_cost(lp, rp, 3, 2, d, 1, method)
-
-
-def test_window_cost_out_of_bounds_is_an_error():
-    img = texture(5, 5, seed=1)
-    params = MatchParams(1, 0, "sad")
-    with pytest.raises(ValueError, match="left window"):
-        window_cost(img, img, PixelCoord(0, 2), 0, params)
-    with pytest.raises(ValueError, match="right window"):
-        window_cost(img, img, PixelCoord(2, 2), 2, params)
 
 
 def test_identical_images_give_zero_disparity():
