@@ -1,9 +1,13 @@
 """Golden outputs: `simulate` reports and a `depth` JSON pinned byte for byte.
 
-Each simulate scenario has multi-hop relay paths, node deaths (a relay, a right
+Each policy scenario has multi-hop relay paths, node deaths (a relay, a right
 camera, and a left camera that dies at its first step) and drops, so the
 fixtures guard the energy ledger, the drop rules and routing along with
-matching and the RLE payload sizes. Regenerate a fixture only for an
+matching and the RLE payload sizes. The shared-frames scenario gives four
+pairs one synthetic spec (one under other match parameters), a fifth pair
+whose frames equal theirs at each step but not at the step before, and a files
+pair that names one PGM path more than once, so it guards every result that
+equal frames share across pairs and steps. Regenerate a fixture only for an
 intended change to the report, and say why in the change.
 
 The depth fixture is a 7x4 sidecar with invalid pixels holding nonzero
@@ -29,6 +33,12 @@ def test_report_matches_golden_fixture(policy, tmp_path):
     out = tmp_path / "report.json"
     save_report(run_simulation(scenario), out)
     assert out.read_bytes() == (GOLDEN / f"{policy}.report.json").read_bytes()
+
+
+def test_shared_frames_report_matches_golden_fixture(tmp_path):
+    out = tmp_path / "report.json"
+    save_report(run_simulation(load_scenario(GOLDEN / "shared_frames.scenario.json")), out)
+    assert out.read_bytes() == (GOLDEN / "shared_frames.report.json").read_bytes()
 
 
 def test_simulate_summary_matches_golden_totals(tmp_path, capsys):
