@@ -24,10 +24,11 @@ class GrayImage:
     """Immutable 8-bit grayscale raster.
 
     Pixels are held as a read-only (height, width) uint8 array; every
-    intensity lies in [0, 255] and both dimensions are at least 1.
+    intensity lies in [0, 255] and both dimensions are at least 1. The hash
+    is computed from the pixels once, on first use.
     """
 
-    __slots__ = ("_pixels",)
+    __slots__ = ("_pixels", "_hash")
 
     def __init__(self, pixels):
         arr = np.asarray(pixels)
@@ -44,6 +45,7 @@ class GrayImage:
         out = arr.astype(np.uint8, copy=True)
         out.setflags(write=False)
         object.__setattr__(self, "_pixels", out)
+        object.__setattr__(self, "_hash", None)
 
     @property
     def pixels(self) -> np.ndarray:
@@ -62,6 +64,8 @@ class GrayImage:
         raise AttributeError("GrayImage is immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, GrayImage):
             return NotImplemented
         return self._pixels.shape == other._pixels.shape and bool(
@@ -69,7 +73,9 @@ class GrayImage:
         )
 
     def __hash__(self):
-        return hash((self._pixels.shape, self._pixels.tobytes()))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self._pixels.shape, self._pixels.tobytes())))
+        return self._hash
 
     def __repr__(self):
         return f"GrayImage({self.width}x{self.height})"

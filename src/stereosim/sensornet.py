@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -431,8 +433,9 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     Perception is pure, so equal (left frame, right frame, match params)
     inputs are matched once: a result is reused while some pair's most
-    recent step used it. Every executed pair-step still pays its energy and
-    counts its nominal elementary_ops.
+    recent step used it. Within a step, pairs whose previous and current
+    inputs are equal share one event decision. Every executed pair-step
+    still pays its energy and counts its nominal elementary_ops.
     """
     errors = validate_scenario(scenario)
     if errors:
@@ -470,7 +473,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
     events: list[EventRecord] = []
     transmissions: list[TransmissionRecord] = []
     drops: list[DropRecord] = []
-    last_maps: dict[tuple[int, int], DisparityMap] = {}
+    # each pair's latest perception input and map, the event detector's prev
+    last: dict[tuple[int, int], tuple[tuple, DisparityMap]] = {}
     perceived: dict[tuple, tuple[DisparityMap, int, int]] = {}
     steps = max((len(p.frames) for p in scenario.pairs), default=0)
 
@@ -498,6 +502,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     for step in range(1, steps + 1):
         used = {}
+        changes: dict[tuple, tuple[bool, float]] = {}
         for pair in pair_order:
             if step > len(pair.frames):
                 continue
@@ -529,10 +534,16 @@ def run_simulation(scenario: Scenario) -> SimReport:
             pr.rle_bytes_min = rle_nbytes if pr.rle_bytes_min is None else min(pr.rle_bytes_min, rle_nbytes)
             pr.rle_bytes_max = rle_nbytes if pr.rle_bytes_max is None else max(pr.rle_bytes_max, rle_nbytes)
 
-            triggered, change = detect_event(last_maps.get(key), dmap, scenario.event_threshold)
+            prev_inputs, prev_map = last.get(key, (None, None))
+            event = changes.get((prev_inputs, inputs))
+            if event is None:
+                event = changes[prev_inputs, inputs] = detect_event(
+                    prev_map, dmap, scenario.event_threshold
+                )
+            triggered, change = event
             if triggered:
                 events.append(EventRecord(step, key, change))
-            last_maps[key] = dmap
+            last[key] = (inputs, dmap)
 
             if scenario.policy == "raw_always":
                 send, kind, nbytes = True, "raw_pair", pr.raw_pair_bytes
@@ -605,6 +616,10 @@ class _Loader:
     def __init__(self, base_dir: Path | None):
         self.base_dir = base_dir
         self.errors: list[str] = []
+        # equal frames are one object, so the simulator's memos match them by
+        # identity first; only successes are kept, so each failure is reported
+        self.images: dict[str, GrayImage] = {}
+        self.sequences: dict[tuple, list[tuple[GrayImage, GrayImage]]] = {}
 
     def fail(self, where: str, message: str):
         self.errors.append(f"{where}: {message}")
@@ -732,7 +747,7 @@ class _Loader:
                 if self.base_dir is not None and not path.is_absolute():
                     path = self.base_dir / path
                 try:
-                    sides.append(parse_pgm(path.read_bytes()))
+                    sides.append(self.read_pgm(path))
                 except OSError as exc:
                     self.fail(f"{where}[{t}][{s}]", f"cannot read {path}: {exc}")
                 except ValueError as exc:
@@ -742,6 +757,16 @@ class _Loader:
             else:
                 return None
         return frames
+
+    def read_pgm(self, path: Path) -> GrayImage:
+        """The image in a PGM file, parsed once per resolved path."""
+        # not Path.resolve, which raises RuntimeError on a symlink loop before
+        # Python 3.13; read_bytes then reports the loop as an OSError finding
+        resolved = os.path.realpath(path)
+        image = self.images.get(resolved)
+        if image is None:
+            image = self.images[resolved] = parse_pgm(path.read_bytes())
+        return image
 
     def load_synthetic(self, where: str, obj, scenario_seed: int):
         allowed = {"width", "height", "steps", "shift_per_step", "seed"}
@@ -775,11 +800,14 @@ class _Loader:
             return None
         if width is None or height is None or seed is None or shifts is None:
             return None
-        try:
-            return shifted_sequence(width, height, shifts, seed)
-        except ValueError as exc:
-            self.fail(where, str(exc))
-            return None
+        spec = (width, height, tuple(shifts), seed)
+        if spec not in self.sequences:
+            try:
+                self.sequences[spec] = shifted_sequence(width, height, shifts, seed)
+            except ValueError as exc:
+                self.fail(where, str(exc))
+                return None
+        return list(self.sequences[spec])
 
     def load_pair(self, where: str, obj, scenario_seed: int) -> StereoPair | None:
         allowed = {"left", "right", "baseline", "focal_length", "match", "frames"}
@@ -921,7 +949,72 @@ def report_to_dict(report: SimReport) -> dict:
     return doc
 
 
+def _float_token(value: float) -> str:
+    """A float as json.dumps writes it with allow_nan=False."""
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# the token json.dumps writes for a value of each scalar type
+_SCALAR_TOKENS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_token,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, pad: str = "") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False) writes it at pad.
+
+    value is JSON-ready, with string keys. A list of objects that share one
+    key set, such as a report's record lists, renders every object from
+    "key": labels made once for the whole list.
+    """
+    token = _SCALAR_TOKENS.get(type(value))
+    if token is not None:
+        return token(value)
+    if isinstance(value, dict):
+        return _json_objects([value], pad)[0] if value else "{}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        first = value[0]
+        if isinstance(first, dict) and first and all(
+            isinstance(v, dict) and v.keys() == first.keys() for v in value
+        ):
+            items = _json_objects(value, inner)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    for cls in (str, int, float):  # a subclass, such as numpy.float64, encodes as its base
+        if isinstance(value, cls):
+            return _SCALAR_TOKENS[cls](value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_objects(objects: list[dict], pad: str) -> list[str]:
+    """Non-empty objects with one key set, each as _json_text writes it at pad."""
+    inner = pad + "  "
+    keys = sorted(objects[0])
+    labels = [f",\n{inner}{encode_basestring_ascii(k)}: " for k in keys]
+    labels[0] = "{" + labels[0][1:]
+    close = "\n" + pad + "}"
+    return [
+        "".join([label + _json_text(obj[k], inner) for label, k in zip(labels, keys)]) + close
+        for obj in objects
+    ]
+
+
 def save_report(report: SimReport, path: Path | str):
-    """Write the report JSON byte-deterministically."""
-    text = json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Write the report JSON byte-deterministically.
+
+    The bytes equal json.dumps(report_to_dict(report), indent=2,
+    sort_keys=True, allow_nan=False) plus a newline; a non-finite number
+    raises ValueError and writes nothing.
+    """
+    text = _json_text(report_to_dict(report)) + "\n"
     Path(path).write_text(text)

@@ -18,6 +18,8 @@ def texture(width: int, height: int, seed: int) -> GrayImage:
     """Uniform random 8-bit texture from a fixed-seed generator."""
     if width < 1 or height < 1:
         raise ValueError(f"texture dimensions must be at least 1x1, got {width}x{height}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     try:
         pixels = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
@@ -34,7 +36,7 @@ def shifted_sequence(
     The right frame at step t satisfies right(x, y) = left(x + shifts[t], y),
     so block matching recovers disparity shifts[t] across the valid region.
     All frames for one seed come from a single master texture of width
-    width + max(shifts).
+    width + max(shifts), and steps with equal shifts share one right frame.
     """
     if not shifts:
         raise ValueError("shifts must name at least one step")
@@ -45,11 +47,8 @@ def shifted_sequence(
             raise ValueError(f"shift {s} must be smaller than frame width {width}")
     master = texture(width + max(shifts), height, seed).pixels
     left = GrayImage(master[:, :width])
-    frames = []
-    for s in shifts:
-        right = GrayImage(master[:, s : s + width])
-        frames.append((left, right))
-    return frames
+    rights = {s: GrayImage(master[:, s : s + width]) for s in set(shifts)}
+    return [(left, rights[s]) for s in shifts]
 
 
 def shifted_pair(width: int, height: int, shift: int, seed: int) -> tuple[GrayImage, GrayImage]:

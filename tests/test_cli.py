@@ -110,6 +110,23 @@ def test_generate_too_large_to_hold_in_memory_exits_two(tmp_path, capsys, width,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--width", "8", "--height", "8", "--seed", "-1", "--out", "{dir}/g"],
+        ["bench", "--sizes", "16x16", "--radius", "1", "--max-disparity", "4", "--reps", "3",
+         "--seed", "-1"],
+    ],
+    ids=["generate", "bench"],
+)
+def test_negative_seed_exits_two_in_stereosim_words(tmp_path, capsys, argv):
+    assert run_cli(*[arg.format(dir=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_disparity_identical_inputs_render_zero(tmp_path, capsys):
     img = texture(24, 24, seed=4)
     p = tmp_path / "same.pgm"
@@ -306,6 +323,21 @@ def test_simulate_runs_are_byte_identical(tmp_path):
     assert run_cli("simulate", str(sc), "--out", str(a)) == 0
     assert run_cli("simulate", str(sc), "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_report_with_an_infinite_energy_exits_two_and_writes_nothing(tmp_path, capsys):
+    # one 256x256 step processes ~3.3e5 bytes, and 3.3e5 * 1e308 / 65536 overflows to inf
+    doc = json.loads(scenario_file(tmp_path).read_text())
+    doc["energy"] = {"tx_energy_per_64kb": 1e308, "cpu_energy_per_64kb_processed": 1e308}
+    doc["pairs"][0]["frames"]["synthetic"].update(width=256, height=256)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run_cli("simulate", str(path), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: Out of range float values are not JSON compliant: inf\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_simulate_malformed_json_exits_two(tmp_path, capsys):

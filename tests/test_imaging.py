@@ -5,7 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stereosim import GrayImage, PgmParseError, downscale, parse_pgm, pgm_num_bytes, serialize_pgm
+from stereosim import (
+    GrayImage,
+    PgmParseError,
+    downscale,
+    parse_pgm,
+    pgm_num_bytes,
+    serialize_pgm,
+    shifted_sequence,
+    texture,
+)
 
 from oracles import naive_downscale
 
@@ -180,6 +189,36 @@ def test_gray_image_immutable():
     img = GrayImage([[1, 2]])
     with pytest.raises((ValueError, AttributeError)):
         img.pixels[0, 0] = 9
+
+
+def test_equal_images_hash_equal_and_the_hash_is_cached():
+    a = GrayImage([[1, 2, 3], [4, 5, 6]])
+    b = GrayImage(np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64))
+    assert a is not b and a == b
+    first = hash(a)
+    assert first == hash(b) == hash(a) == hash(a)
+    assert first == hash(((2, 3), a.pixels.tobytes()))  # the value hash, kept
+    assert GrayImage([[1, 2, 3], [4, 5, 7]]) != a
+    with pytest.raises(AttributeError):
+        a._hash = 1
+    assert hash(a) == first
+
+
+def test_shifted_sequence_builds_one_right_frame_per_distinct_shift():
+    frames = shifted_sequence(12, 6, [1, 3, 1, 0, 3], seed=2)
+    assert len({id(lf) for lf, _ in frames}) == 1
+    assert len({id(rf) for _, rf in frames}) == 3
+    assert frames[0][1] is frames[2][1] and frames[1][1] is frames[4][1]
+    master = texture(15, 6, seed=2).pixels
+    for (lf, rf), s in zip(frames, [1, 3, 1, 0, 3]):
+        assert np.array_equal(lf.pixels, master[:, :12])
+        assert np.array_equal(rf.pixels, master[:, s : s + 12])
+
+
+def test_texture_rejects_a_negative_seed_in_its_own_words():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        texture(4, 4, seed=-1)
+    assert texture(4, 4, seed=0) == texture(4, 4, seed=0)
 
 
 def test_downscale_factor_one_is_identity():

@@ -1,8 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stereosim import (
@@ -25,6 +27,7 @@ from stereosim import (
     report_to_dict,
     route_to_sink,
     run_simulation,
+    save_report,
     scenario_from_dict,
     serialize_pgm,
     shifted_sequence,
@@ -32,7 +35,11 @@ from stereosim import (
     transmission_bytes,
 )
 
+from stereosim.sensornet import POLICIES, EventRecord, _json_text
+
 from oracles import all_simple_paths, naive_mean_abs_change
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _nodes(*specs):
@@ -411,6 +418,37 @@ def test_equal_frame_pairs_are_matched_once_per_step(monkeypatch):
         assert report_to_dict(report) == report_to_dict(run_simulation(_multi_pair_scenario(n)))
 
 
+def test_event_memo_matches_detect_event_on_each_pairs_consecutive_maps(monkeypatch):
+    import stereosim.sensornet as sensornet
+
+    scenario = load_scenario(GOLDEN / "shared_frames.scenario.json")
+    calls = []
+
+    def counting(prev, curr, threshold):
+        calls.append(threshold)
+        return detect_event(prev, curr, threshold)
+
+    monkeypatch.setattr(sensornet, "detect_event", counting)
+    report = run_simulation(scenario)
+
+    dropped = {(d.step, d.pair) for d in report.drops if d.reason == "camera-dead"}
+    maps, expected, executed = {}, [], 0
+    for step in range(1, report.steps + 1):
+        for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
+            key = (pair.left_node, pair.right_node)
+            if step > len(pair.frames) or (step, key) in dropped:
+                continue
+            executed += 1
+            curr, _ = compute_disparity(*pair.frames[step - 1], pair.match_params)
+            triggered, change = detect_event(maps.get(key), curr, scenario.event_threshold)
+            if triggered:
+                expected.append(EventRecord(step, key, change))
+            maps[key] = curr
+    assert report.events == expected
+    # pairs with equal (previous, current) inputs in one step share one call
+    assert 0 < len(calls) < executed
+
+
 def test_policy_dominance_when_rle_is_smaller():
     reports = {
         policy: run_simulation(make_line_scenario(policy=policy, shifts=(1, 1, 3, 3, 1)))
@@ -668,3 +706,135 @@ def test_scenario_missing_frame_file_is_reported(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError, match="absent.pgm"):
         load_scenario(path)
+
+
+def test_equal_frame_specs_share_frame_objects():
+    scenario = load_scenario(GOLDEN / "shared_frames.scenario.json")
+    by_pair = {(p.left_node, p.right_node): p.frames for p in scenario.pairs}
+    same_spec = [by_pair[k] for k in ((2, 3), (4, 5), (6, 7), (12, 13))]
+    for frames in same_spec[1:]:
+        assert frames == same_spec[0] and frames is not same_spec[0]
+        assert all(a is b for fa, fb in zip(frames, same_spec[0]) for a, b in zip(fa, fb))
+    # one left frame and one right frame for each of the shifts 0, 1, 2 and 3
+    assert len({id(img) for frames in same_spec for pair in frames for img in pair}) == 5
+    # one object per PGM path
+    files = by_pair[(10, 11)]
+    assert len({id(img) for pair in files for img in pair}) == 3
+    assert files[3][0] is files[3][1] is files[0][0]
+
+
+def test_two_entries_naming_one_pgm_path_return_one_image(tmp_path):
+    lf, rf = shifted_sequence(12, 12, [2], 3)[0]
+    (tmp_path / "l.pgm").write_bytes(serialize_pgm(lf))
+    (tmp_path / "r.pgm").write_bytes(serialize_pgm(rf))
+    doc = _scenario_dict()
+    doc["pairs"][0]["frames"] = {"files": [["l.pgm", "r.pgm"], ["./l.pgm", str(tmp_path / "r.pgm")]]}
+    doc["pairs"][0]["match"] = {"window_radius": 1, "max_disparity": 3, "method": "sad"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    (a_left, a_right), (b_left, b_right) = load_scenario(path).pairs[0].frames
+    assert a_left is b_left and a_right is b_right
+    assert (a_left, a_right) == (lf, rf)
+
+
+def test_a_pgm_path_that_fails_is_reported_at_each_entry(tmp_path):
+    (tmp_path / "bad.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
+    doc = _scenario_dict()
+    doc["pairs"][0]["frames"] = {"files": [["bad.pgm", "bad.pgm"]]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    assert [e.split(":")[0] for e in info.value.errors] == [
+        "pairs[0].frames.files[0][0]",
+        "pairs[0].frames.files[0][1]",
+    ]
+    assert all("pixel data truncated" in e for e in info.value.errors)
+
+
+# ---------------------------------------------------------------------------
+# report writer
+
+
+@st.composite
+def small_scenarios(draw):
+    """Random small fields: every policy, batteries low enough that nodes die,
+    and pairs that share one frame list or hold their own."""
+    battery = st.sampled_from([1e-6, 0.5, 3.0, 20.0, 1e9])
+    nodes = [SensorNode(0, "sink"), SensorNode(1, "relay", draw(battery))]
+    links, pairs, sequences = [(0, 1)], [], []
+    width, height = draw(st.integers(8, 12)), draw(st.integers(4, 8))
+    for k in range(draw(st.integers(1, 3))):
+        left, right = 2 + 2 * k, 3 + 2 * k
+        nodes += [SensorNode(left, "camera", draw(battery)), SensorNode(right, "camera", draw(battery))]
+        links.append((draw(st.sampled_from([0, 1])), left))
+        if sequences and draw(st.booleans()):
+            frames = draw(st.sampled_from(sequences))
+        else:
+            shifts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+            frames = shifted_sequence(width, height, shifts, draw(st.integers(0, 2)))
+            sequences.append(frames)
+        params = MatchParams(draw(st.integers(0, 1)), 3, draw(st.sampled_from(["sad", "ssd"])))
+        pairs.append(StereoPair(left, right, params, frames))
+    return Scenario(
+        nodes=nodes,
+        pairs=pairs,
+        links=links,
+        policy=draw(st.sampled_from(POLICIES)),
+        event_threshold=draw(st.sampled_from([0.0, -0.0, 0.25, 1.0, 2.5])),
+        seed=draw(st.integers(0, 2**40)),
+    )
+
+
+def _json_dumps_report(report) -> bytes:
+    return (json.dumps(report_to_dict(report), indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios())
+def test_save_report_writes_the_bytes_of_json_dumps(scenario):
+    report = run_simulation(scenario)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        save_report(report, out)
+        assert out.read_bytes() == _json_dumps_report(report)
+
+
+_json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def _json_records(draw, values):
+    keys = draw(st.lists(st.text(max_size=3), unique=True, max_size=3))
+    return [dict(zip(keys, draw(st.lists(values, min_size=len(keys), max_size=len(keys)))))
+            for _ in range(draw(st.integers(0, 3)))]
+
+
+@settings(max_examples=300)
+@given(st.recursive(
+    _json_leaves,
+    lambda values: (
+        st.lists(values, max_size=4) | st.lists(values, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), values, max_size=4) | _json_records(values)
+    ),
+    max_leaves=20,
+))
+@example({"numpy": np.float64(2.5), "flag": True, "text": "\u00e9\n", "zero": -0.0, "big": 10**30})
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_save_report_refuses_a_non_finite_number_and_writes_nothing(tmp_path, value):
+    report = run_simulation(make_line_scenario())
+    report.nodes[1].deficit_uj = value
+    message = f"^Out of range float values are not JSON compliant: {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        _json_dumps_report(report)
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=message):
+        save_report(report, out)
+    assert not out.exists()
