@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -616,9 +615,8 @@ class _Loader:
     def __init__(self, base_dir: Path | None):
         self.base_dir = base_dir
         self.errors: list[str] = []
-        # equal frames are one object, so the simulator's memos match them by
-        # identity first; only successes are kept, so each failure is reported
-        self.images: dict[str, GrayImage] = {}
+        # equal synthetic frames are one object, so the simulator's memos
+        # match them by identity first
         self.sequences: dict[tuple, list[tuple[GrayImage, GrayImage]]] = {}
 
     def fail(self, where: str, message: str):
@@ -747,7 +745,7 @@ class _Loader:
                 if self.base_dir is not None and not path.is_absolute():
                     path = self.base_dir / path
                 try:
-                    sides.append(self.read_pgm(path))
+                    sides.append(parse_pgm(path.read_bytes()))
                 except OSError as exc:
                     self.fail(f"{where}[{t}][{s}]", f"cannot read {path}: {exc}")
                 except ValueError as exc:
@@ -757,16 +755,6 @@ class _Loader:
             else:
                 return None
         return frames
-
-    def read_pgm(self, path: Path) -> GrayImage:
-        """The image in a PGM file, parsed once per resolved path."""
-        # not Path.resolve, which raises RuntimeError on a symlink loop before
-        # Python 3.13; read_bytes then reports the loop as an OSError finding
-        resolved = os.path.realpath(path)
-        image = self.images.get(resolved)
-        if image is None:
-            image = self.images[resolved] = parse_pgm(path.read_bytes())
-        return image
 
     def load_synthetic(self, where: str, obj, scenario_seed: int):
         allowed = {"width", "height", "steps", "shift_per_step", "seed"}

@@ -717,24 +717,6 @@ def test_equal_frame_specs_share_frame_objects():
         assert all(a is b for fa, fb in zip(frames, same_spec[0]) for a, b in zip(fa, fb))
     # one left frame and one right frame for each of the shifts 0, 1, 2 and 3
     assert len({id(img) for frames in same_spec for pair in frames for img in pair}) == 5
-    # one object per PGM path
-    files = by_pair[(10, 11)]
-    assert len({id(img) for pair in files for img in pair}) == 3
-    assert files[3][0] is files[3][1] is files[0][0]
-
-
-def test_two_entries_naming_one_pgm_path_return_one_image(tmp_path):
-    lf, rf = shifted_sequence(12, 12, [2], 3)[0]
-    (tmp_path / "l.pgm").write_bytes(serialize_pgm(lf))
-    (tmp_path / "r.pgm").write_bytes(serialize_pgm(rf))
-    doc = _scenario_dict()
-    doc["pairs"][0]["frames"] = {"files": [["l.pgm", "r.pgm"], ["./l.pgm", str(tmp_path / "r.pgm")]]}
-    doc["pairs"][0]["match"] = {"window_radius": 1, "max_disparity": 3, "method": "sad"}
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    (a_left, a_right), (b_left, b_right) = load_scenario(path).pairs[0].frames
-    assert a_left is b_left and a_right is b_right
-    assert (a_left, a_right) == (lf, rf)
 
 
 def test_a_pgm_path_that_fails_is_reported_at_each_entry(tmp_path):
