@@ -6,12 +6,13 @@ score SSIM 1.0 exactly and the metrics are exactly symmetric.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage, _require_same_dims, _window_sums
+from .imaging import GrayImage, _require_same_dims, _row_bands, _sum_dtype, _window_sums
 
 __all__ = ["SsimParams", "MetricResult", "mse", "psnr", "ssim"]
 
@@ -52,8 +53,9 @@ class MetricResult:
 def mse(a: GrayImage, b: GrayImage) -> float:
     """Mean squared intensity difference over all pixels."""
     _require_same_dims(a, b, "a", "b")
-    diff = a.pixels.astype(np.int64) - b.pixels.astype(np.int64)
-    total = int((diff * diff).sum())
+    diff = np.subtract(a.pixels, b.pixels, dtype=np.int32)
+    np.multiply(diff, diff, out=diff)
+    total = int(diff.sum(dtype=np.int64))
     return total / (a.width * a.height)
 
 
@@ -86,26 +88,68 @@ def ssim(a: GrayImage, b: GrayImage, params: SsimParams | None = None) -> Metric
             f"image {a.width}x{a.height} is smaller than the {side}x{side} ssim window"
         )
 
-    pa = a.pixels.astype(np.int64)
-    pb = b.pixels.astype(np.int64)
-    n = side * side
-    s_a = _window_sums(pa, side).astype(np.float64)
-    s_b = _window_sums(pb, side).astype(np.float64)
-    s_aa = _window_sums(pa * pa, side).astype(np.float64)
-    s_bb = _window_sums(pb * pb, side).astype(np.float64)
-    s_ab = _window_sums(pa * pb, side).astype(np.float64)
-
     c1 = (params.k1 * params.dynamic_range) ** 2
     c2 = (params.k2 * params.dynamic_range) ** 2
+    scores = _ssim_band_scores(a.pixels, b.pixels, side, c1, c2)
+    windows = (a.height - side + 1) * (a.width - side + 1)
+    return MetricResult(math.fsum(itertools.chain.from_iterable(scores)) / windows)
 
-    mu_a = s_a / n
-    mu_b = s_b / n
-    var_a = (s_aa - s_a * s_a / n) / (n - 1)
-    var_b = (s_bb - s_b * s_b / n) / (n - 1)
-    cov = (s_ab - s_a * s_b / n) / (n - 1)
 
-    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
-    den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    scores = num / den
-    value = math.fsum(scores.ravel().tolist()) / scores.size
-    return MetricResult(value)
+def _ssim_band_scores(pa: np.ndarray, pb: np.ndarray, side: int, c1: float, c2: float):
+    """Yield the per-window ssim scores as one list per row of windows, in row-major order.
+
+    The five window sums are exact integers in the narrowest type that holds
+    255 ** 2 * side ** 2, the bound that also sizes ssd costs. The float
+    terms are evaluated in ssim's documented order, each operation written
+    into a preallocated band buffer.
+    """
+    h, w = pa.shape
+    dt = _sum_dtype(255 * 255, side)
+    pa = pa.astype(dt).reshape(-1)
+    pb = pb.astype(dt).reshape(-1)
+    n = side * side
+    # the float64 terms are the widest working arrays
+    bands = _row_bands(h - side + 1, w * 8)
+    band_rows = bands[0][1]
+    prod = np.empty((band_rows + side - 1) * w, dtype=dt)
+    scratch = np.empty(2 * prod.size, dtype=dt)
+    sums = np.empty(band_rows * w, dtype=dt)
+    f = np.empty((6, band_rows * w))
+    for y0, y1 in bands:
+        n_in = (y1 - y0 + side - 1) * w
+        # window sum i * w + x has its top-left pixel at (y0 + i, x); the
+        # windows that wrap past a row's end are computed and dropped below
+        count = (y1 - y0) * w - side + 1
+        ra, rb = pa[y0 * w : y0 * w + n_in], pb[y0 * w : y0 * w + n_in]
+        s_a, s_b, s_aa, s_bb, s_ab, t = f[:, :count]
+        for s, x, y in ((s_a, ra, None), (s_b, rb, None), (s_aa, ra, ra), (s_bb, rb, rb), (s_ab, ra, rb)):
+            if y is not None:
+                x = np.multiply(x, y, out=prod[:n_in])
+            _window_sums(x.reshape(-1, w), side, out=sums, scratch=scratch)
+            s[...] = sums[:count]
+        # var = (s_xx - s_x * s_x / n) / (n - 1), in place of s_xx
+        for s_x, s_y, s_xy in ((s_a, s_a, s_aa), (s_b, s_b, s_bb), (s_a, s_b, s_ab)):
+            np.multiply(s_x, s_y, out=t)
+            t /= n
+            np.subtract(s_xy, t, out=s_xy)
+            s_xy /= n - 1
+        mu_a, mu_b, var_a, var_b, cov = s_a, s_b, s_aa, s_bb, s_ab
+        mu_a /= n
+        mu_b /= n
+        # num = (2 * mu_a * mu_b + c1) * (2 * cov + c2), in t
+        np.multiply(mu_a, 2.0, out=t)
+        t *= mu_b
+        t += c1
+        cov *= 2.0
+        cov += c2
+        t *= cov
+        # den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2), in mu_a
+        mu_a *= mu_a
+        mu_b *= mu_b
+        mu_a += mu_b
+        mu_a += c1
+        var_a += var_b
+        var_a += c2
+        mu_a *= var_a
+        t /= mu_a
+        yield from f[5, : (y1 - y0) * w].reshape(-1, w)[:, : w - side + 1].tolist()

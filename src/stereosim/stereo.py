@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage, _require_same_dims, _window_sums
+from .imaging import GrayImage, _require_same_dims, _row_bands, _sum_dtype, _window_sums
 
 __all__ = [
     "METHODS",
@@ -193,20 +193,13 @@ class CostStats:
 
 
 def _agg_dtype(method: str, window_side: int) -> type:
-    """Narrowest signed integer type that holds any window sum exactly.
+    """Narrowest signed integer type that holds any window cost exactly.
 
     Absolute differences peak at 255 while squared differences peak at
     255 ** 2, so sad fits narrower arithmetic than ssd at equal window
-    sizes. The integral image may wrap around in this type; the four-term
-    window combination cancels the wraps whenever the true window sum is
-    representable, which the bound below guarantees.
+    sizes.
     """
-    peak = 255 if method == "sad" else 255 * 255
-    max_window_sum = peak * window_side * window_side
-    for dt in (np.int16, np.int32, np.int64):
-        if max_window_sum <= np.iinfo(dt).max:
-            return dt
-    raise ValueError(f"window side {window_side} overflows 64-bit cost sums")
+    return _sum_dtype(255 if method == "sad" else 255 * 255, window_side)
 
 
 def compute_disparity(
@@ -239,28 +232,51 @@ def compute_disparity(
 
     if row1 > row0 and col1 > col0:
         n_valid = (row1 - row0) * (col1 - col0)
-        dt = _agg_dtype(params.method, params.window_side)
-        a = left.pixels.astype(dt)
-        b = right.pixels.astype(dt)
-        best_cost = None
-        best_d = None
-        for d in range(dmax + 1):
-            diff = a[:, d:] - b[:, : w - d]
-            np.abs(diff, out=diff)
-            if params.method == "ssd":
-                np.multiply(diff, diff, out=diff)
-            # columns of diff index left columns d..w-1; the valid pixels need
-            # window sums centered on left columns col0..col1-1
-            sub = diff[:, col0 - r - d : col1 + r - d]
-            cost = _window_sums(sub, params.window_side)
-            if best_cost is None:
-                best_cost = cost
-                best_d = np.zeros(cost.shape, dtype=np.int32)
-            else:
-                improved = cost < best_cost
-                best_d[improved] = d
-                np.minimum(best_cost, cost, out=best_cost)
-        disp[row0:row1, col0:col1] = best_d
+        side = params.window_side
+        dt = _agg_dtype(params.method, side)
+        # Both frames are matched as flat row-major runs. Window sum i * w + x
+        # is the window whose top-left pixel is (i, x), centered on pixel
+        # (row0 + i, x + r); the columns x < dmax and the windows that wrap
+        # past a row's end are summed too, and never read.
+        a = left.pixels.astype(dt).reshape(-1)
+        # dmax zeros before the right frame keep every shifted read in bounds
+        b = np.zeros(dmax + h * w, dtype=dt)
+        b[dmax:] = right.pixels.reshape(-1)
+        bands = _row_bands(row1 - row0, w * a.itemsize)
+        band_rows = bands[0][1]
+        diff = np.empty((band_rows + side - 1) * w, dtype=dt)
+        scratch = np.empty(2 * diff.size, dtype=dt)
+        cost = np.empty(band_rows * w, dtype=dt)
+        best = np.empty(band_rows * w, dtype=dt)
+        d_type = np.min_scalar_type(dmax)
+        best_d = np.empty(band_rows * w, dtype=d_type)
+        step = np.empty(band_rows * w, dtype=d_type)
+        improved = np.empty(band_rows * w, dtype=bool)
+        for y0, y1 in bands:
+            n_in = (y1 - y0 + side - 1) * w
+            n = (y1 - y0) * w - side + 1
+            a_band, band_diff = a[y0 * w : y0 * w + n_in], diff[:n_in]
+            best_d[:n] = 0
+            for d in range(dmax + 1):
+                at = dmax - d + y0 * w
+                np.subtract(a_band, b[at : at + n_in], out=band_diff)
+                # the square of a difference equals the square of its absolute value
+                if params.method == "ssd":
+                    np.multiply(band_diff, band_diff, out=band_diff)
+                else:
+                    np.abs(band_diff, out=band_diff)
+                rows = band_diff.reshape(-1, w)
+                if d == 0:
+                    _window_sums(rows, side, out=best, scratch=scratch)
+                    continue
+                _window_sums(rows, side, out=cost, scratch=scratch)
+                np.less(cost[:n], best[:n], out=improved[:n])
+                # d only grows, so an improved pixel's new winner is the largest d so far
+                np.multiply(improved[:n].view(np.uint8), d_type.type(d), out=step[:n])
+                np.maximum(best_d[:n], step[:n], out=best_d[:n])
+                np.minimum(best[:n], cost[:n], out=best[:n])
+            winners = best_d[: (y1 - y0) * w].reshape(-1, w)
+            disp[row0 + y0 : row0 + y1, col0:col1] = winners[:, col0 - r : col1 - r]
         valid[row0:row1, col0:col1] = True
 
     ops = n_valid * (dmax + 1) * params.window_side**2

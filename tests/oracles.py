@@ -5,6 +5,7 @@ shared code with the implementation under test.
 """
 
 import json
+import math
 from fractions import Fraction
 
 
@@ -53,6 +54,64 @@ def naive_disparity(left_px, right_px, radius, max_disparity, method):
                 disp[y][x] = best_d
                 valid[y][x] = True
     return disp, valid
+
+
+def naive_ssim(a_px, b_px, side, k1=0.01, k2=0.03, dynamic_range=255):
+    """Mean ssim over every side x side window, from exact Python integer sums.
+
+    Window sums come from integral images of plain ints; each score follows
+    the documented formula in its documented operation order, and the
+    scores are totaled with math.fsum.
+    """
+    h = len(a_px)
+    w = len(a_px[0])
+
+    def integral(f):
+        table = [[0] * (w + 1) for _ in range(h + 1)]
+        for y in range(h):
+            for x in range(w):
+                table[y + 1][x + 1] = (
+                    f(a_px[y][x], b_px[y][x]) + table[y][x + 1] + table[y + 1][x] - table[y][x]
+                )
+        return table
+
+    tables = [
+        integral(lambda p, q: p),
+        integral(lambda p, q: q),
+        integral(lambda p, q: p * p),
+        integral(lambda p, q: q * q),
+        integral(lambda p, q: p * q),
+    ]
+    n = side * side
+    c1 = (k1 * dynamic_range) ** 2
+    c2 = (k2 * dynamic_range) ** 2
+    scores = []
+    for y in range(h - side + 1):
+        for x in range(w - side + 1):
+            s_a, s_b, s_aa, s_bb, s_ab = (
+                float(t[y + side][x + side] - t[y][x + side] - t[y + side][x] + t[y][x])
+                for t in tables
+            )
+            mu_a = s_a / n
+            mu_b = s_b / n
+            var_a = (s_aa - s_a * s_a / n) / (n - 1)
+            var_b = (s_bb - s_b * s_b / n) / (n - 1)
+            cov = (s_ab - s_a * s_b / n) / (n - 1)
+            num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+            den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+            scores.append(num / den)
+    return math.fsum(scores) / len(scores)
+
+
+def naive_window_sums(px, side):
+    """Every side x side window sum, by a double loop per window."""
+    return [
+        [
+            sum(px[y + dy][x + dx] for dy in range(side) for dx in range(side))
+            for x in range(len(px[0]) - side + 1)
+        ]
+        for y in range(len(px) - side + 1)
+    ]
 
 
 def naive_downscale(px, factor):

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from stereosim import (
     shifted_sequence,
     texture,
 )
+from stereosim import imaging
 
-from oracles import naive_downscale
+from oracles import naive_downscale, naive_window_sums
 
 
 def test_parse_minimal():
@@ -268,3 +270,45 @@ def test_downscale_rejects_zero_factor():
     img = GrayImage([[1]])
     with pytest.raises(ValueError, match="factor"):
         downscale(img, 0)
+
+
+# window-sum kernel
+
+
+def test_row_bands_cover_every_row_once_in_order():
+    for row_bytes in (1, 7, 1000, imaging._BAND_BYTES // 3):
+        step = max(1, imaging._BAND_BYTES // row_bytes)
+        for rows in list(range(1, 40)) + [step - 1, step, step + 1, 3 * step + 1]:
+            if rows < 1:
+                continue
+            bands = imaging._row_bands(rows, row_bytes)
+            assert [y for y0, y1 in bands for y in range(y0, y1)] == list(range(rows))
+            assert all(y1 - y0 == step for y0, y1 in bands[:-1])
+    # a row wider than a band gets a band of its own
+    assert imaging._row_bands(3, imaging._BAND_BYTES + 1) == [(0, 1), (1, 2), (2, 3)]
+    assert imaging._row_bands(2, 10 * imaging._BAND_BYTES) == [(0, 1), (1, 2)]
+
+
+@st.composite
+def window_sum_cases(draw):
+    """An array at its dtype's bound for side, or random values below it."""
+    side = draw(st.integers(1, 40))
+    dt = draw(st.sampled_from([np.int16, np.int32]))
+    peak = min(255 * 255, np.iinfo(dt).max // (side * side))
+    h = draw(st.integers(side, side + 6))
+    w = draw(st.integers(side, side + 6))
+    if draw(st.booleans()):
+        arr = np.full((h, w), peak, dtype=dt)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        arr = rng.integers(0, peak + 1, size=(h, w)).astype(dt)
+    return arr, side
+
+
+@settings(max_examples=150)
+@given(window_sum_cases())
+def test_window_sums_match_reference(case):
+    arr, side = case
+    sums = imaging._window_sums(arr, side)
+    assert sums.dtype == arr.dtype
+    assert sums.tolist() == naive_window_sums(arr.tolist(), side)

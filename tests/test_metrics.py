@@ -1,9 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stereosim import GrayImage, SsimParams, mse, psnr, ssim, texture
+from stereosim import GrayImage, SsimParams, imaging, mse, psnr, ssim, texture
+
+from oracles import naive_ssim
 
 
 def test_mse_identical_is_zero():
@@ -19,6 +24,14 @@ def test_mse_two_saturated_terms():
     a = GrayImage([[0, 255]])
     b = GrayImage([[255, 0]])
     assert mse(a, b) == 65025.0
+
+
+def test_mse_total_exceeds_int32():
+    # 90,000 squared differences of 255: the total 5,852,250,000 needs 64 bits
+    a = GrayImage(np.zeros((300, 300), dtype=np.uint8))
+    b = GrayImage(np.full((300, 300), 255, dtype=np.uint8))
+    assert mse(a, b) == 65025.0
+    assert psnr(a, b).value == 0.0
 
 
 def test_mse_dimension_mismatch():
@@ -119,6 +132,48 @@ def test_ssim_window_statistics_match_direct_formula():
         (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     )
     assert ssim(a, b, params).value == pytest.approx(expected, rel=1e-14)
+
+
+@st.composite
+def ssim_cases(draw):
+    """A random pair, a window side of 2-64, and a band height (None: unpatched)."""
+    side = draw(st.integers(2, 64))
+    h = draw(st.integers(side, side + 10))
+    w = draw(st.integers(side, side + 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 256, size=(h, w))
+    kind = draw(st.sampled_from(["independent", "noisy copy", "extremes"]))
+    if kind == "independent":
+        b = rng.integers(0, 256, size=(h, w))
+    elif kind == "noisy copy":
+        b = np.clip(a + rng.integers(-8, 9, size=(h, w)), 0, 255)
+    else:
+        a, b = a // 128 * 255, rng.integers(0, 2, size=(h, w)) * 255
+    return a, b, side, draw(st.one_of(st.none(), st.integers(1, 3)))
+
+
+def _ssim_in_bands(a, b, side, band_rows):
+    """ssim with each band cut to band_rows rows of float64 terms, or unpatched."""
+    params = SsimParams(window_side=side)
+    if band_rows is None:
+        return ssim(GrayImage(a), GrayImage(b), params).value
+    with mock.patch.object(imaging, "_BAND_BYTES", band_rows * a.shape[1] * 8):
+        return ssim(GrayImage(a), GrayImage(b), params).value
+
+
+def _extremes(h, w, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=(h, w)) * 255, rng.integers(0, 2, size=(h, w)) * 255
+
+
+@settings(max_examples=80)
+@given(ssim_cases())
+@example((*_extremes(64, 70, 1), 64, 2))  # the widest side, in bands of 2 rows
+@example((*_extremes(40, 45, 2), 33, 1))  # a side past 24, one row per band
+@example((*_extremes(9, 9, 3), 2, None))
+def test_ssim_matches_exact_reference_bit_for_bit(case):
+    a, b, side, band_rows = case
+    assert _ssim_in_bands(a, b, side, band_rows) == naive_ssim(a.tolist(), b.tolist(), side)
 
 
 def test_ssim_image_smaller_than_window():

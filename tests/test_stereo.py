@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from stereosim import (
     sidecar_num_bytes,
     texture,
 )
+from stereosim import imaging
+from stereosim.stereo import METHODS, _agg_dtype
 
 from oracles import count_rle_records, naive_disparity
 
@@ -159,6 +162,52 @@ def test_oracle_equivalence_small_randomized():
             )
             assert dmap.valid.tolist() == valid_ref
             assert dmap.disparities.tolist() == disp_ref
+
+
+@st.composite
+def banded_matches(draw):
+    """A small random pair, match params, and a band height of a few rows."""
+    radius = draw(st.integers(0, 3))
+    side = 2 * radius + 1
+    maxd = draw(st.integers(0, 5))
+    w = draw(st.integers(max(side, maxd + 1), 12))
+    h = draw(st.integers(side, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left = rng.integers(0, 256, size=(h, w))
+    right = rng.integers(0, 256, size=(h, w))
+    return left, right, radius, maxd, draw(st.integers(1, 4))
+
+
+def _match_in_bands(left, right, params, band_rows):
+    """compute_disparity with each band cut to band_rows rows of the frame's width."""
+    itemsize = np.dtype(_agg_dtype(params.method, params.window_side)).itemsize
+    with mock.patch.object(imaging, "_BAND_BYTES", band_rows * left.shape[1] * itemsize):
+        return compute_disparity(GrayImage(left), GrayImage(right), params)[0]
+
+
+@settings(max_examples=60)
+@given(banded_matches())
+# 7 output rows in bands of 3, 3 and 1
+@example((np.arange(90).reshape(9, 10) * 37 % 256, np.arange(90).reshape(9, 10) * 11 % 256, 1, 3, 3))
+def test_multi_band_matcher_matches_reference(case):
+    left, right, radius, maxd, band_rows = case
+    for method in METHODS:
+        dmap = _match_in_bands(left, right, MatchParams(radius, maxd, method), band_rows)
+        disp_ref, valid_ref = naive_disparity(left.tolist(), right.tolist(), radius, maxd, method)
+        assert dmap.valid.tolist() == valid_ref
+        assert dmap.disparities.tolist() == disp_ref
+
+
+def test_wide_short_frame_spans_two_bands():
+    # 17 rows of 4096 int32 ssd costs: a band of 16 rows, then one of 1 row
+    rng = np.random.default_rng(52)
+    left = rng.integers(0, 256, size=(19, 4096))
+    right = rng.integers(0, 256, size=(19, 4096))
+    assert imaging._row_bands(17, 4096 * 4) == [(0, 16), (16, 17)]
+    dmap, _ = compute_disparity(GrayImage(left), GrayImage(right), MatchParams(1, 2, "ssd"))
+    disp_ref, valid_ref = naive_disparity(left.tolist(), right.tolist(), 1, 2, "ssd")
+    assert dmap.valid.tolist() == valid_ref
+    assert dmap.disparities.tolist() == disp_ref
 
 
 def test_depth_direct_substitution():
