@@ -212,9 +212,9 @@ def _require_same_dims(a: GrayImage, b: GrayImage, a_name: str, b_name: str):
         raise ValueError(f"{a_name} is {a.width}x{a.height} but {b_name} is {b.width}x{b.height}")
 
 
-# Bytes of one banded working array. The matcher and ssim each keep about
-# five arrays of this size live per band, so a band pass stays inside a
-# 2 MiB L2 cache. A property of the cache, not of the input or the user.
+# Bytes of one banded working array. A band pass of the matcher or of ssim
+# touches a handful of arrays of this size, which together fit a 2 MiB L2
+# cache. A property of the cache, not of the input or the user.
 _BAND_BYTES = 256 * 1024
 
 
@@ -224,7 +224,7 @@ def _row_bands(rows: int, row_bytes: int) -> list[tuple[int, int]]:
     Each band holds as many rows of row_bytes bytes as fit in _BAND_BYTES,
     and at least one.
     """
-    step = max(1, _BAND_BYTES // max(1, row_bytes))
+    step = max(1, _BAND_BYTES // row_bytes)
     return [(y, min(y + step, rows)) for y in range(0, rows, step)]
 
 
@@ -243,14 +243,17 @@ def _sum_dtype(peak: int, window_side: int) -> type:
     raise ValueError(f"window side {window_side} overflows 64-bit cost sums")
 
 
-def _strided_window_sums(x: np.ndarray, side: int, stride: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """out[t] = x[t] + x[t + stride] + ... + x[t + (side - 1) * stride] for every t with all side terms.
+def _strided_window_sums(
+    x: np.ndarray, side: int, stride: int, out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """out[t] = x[t] + x[t + stride] + ... + x[t + (side - 1) * stride].
 
-    Returns that prefix of out. The sum of 2m terms is two sums of m terms,
-    plus one more term where side's next bit is set, so side terms take
-    about 2 * log2(side) passes instead of side - 1. Each partial sum is a
-    sum of fewer non-negative terms than the whole, so none overflows a
-    type that holds the whole. out and tmp need x.size elements each.
+    Fills and returns the prefix of out whose t have all side terms in x.
+    The sum of 2m terms is two sums of m terms, plus one more term where
+    side's next bit is set, so side terms take about 2 * log2(side) passes
+    instead of side - 1. Each partial sum is a sum of fewer non-negative
+    terms than the whole, so none overflows a type that holds the whole.
+    out and tmp need x.size elements each.
     """
     size = x.size
     doublings = side.bit_length() - 1
@@ -288,13 +291,13 @@ def _window_sums(
     dtype with at least (h - side + 1) * w elements; scratch, if given,
     one with at least 2 * h * w.
 
-    Summed-area tables (Crow 1984) take O(1) passes per window, but numpy's
-    cumsum runs ~30x slower per element than its add. Timed on one 256 KiB
-    int32 band of a 640-wide frame at sides 3-181, the doubling above beat
-    the summed-area table at every side (side 7: 0.10 ms against 0.46 ms;
-    side 64: 0.18 ms against 0.57 ms; side 181: 0.58 ms against 0.96 ms),
-    while side - 1 shifted adds lose to it from side ~24 on. So there is no
-    switch-over and no integral image.
+    There is no switch-over to a summed-area table (Crow 1984), chosen by
+    timing both on one 256 KiB int32 band of a 640-wide frame at sides
+    3-181 (2-vCPU Xeon, numpy 2.4.6). The table takes O(1) passes per
+    window, but numpy's cumsum costs ~30 numpy adds per element: it beat
+    side - 1 shifted adds from side ~24 on, and lost to the doubling sums
+    at every side (side 7: 0.46 ms against 0.10 ms; side 64: 0.57 ms
+    against 0.18 ms; side 181: 0.96 ms against 0.58 ms).
     """
     h, w = arr.shape
     if out is None:

@@ -122,7 +122,8 @@ def _ssim_band_scores(pa: np.ndarray, pb: np.ndarray, side: int, c1: float, c2: 
         count = (y1 - y0) * w - side + 1
         ra, rb = pa[y0 * w : y0 * w + n_in], pb[y0 * w : y0 * w + n_in]
         s_a, s_b, s_aa, s_bb, s_ab, t = f[:, :count]
-        for s, x, y in ((s_a, ra, None), (s_b, rb, None), (s_aa, ra, ra), (s_bb, rb, rb), (s_ab, ra, rb)):
+        terms = ((s_a, ra, None), (s_b, rb, None), (s_aa, ra, ra), (s_bb, rb, rb), (s_ab, ra, rb))
+        for s, x, y in terms:
             if y is not None:
                 x = np.multiply(x, y, out=prod[:n_in])
             _window_sums(x.reshape(-1, w), side, out=sums, scratch=scratch)

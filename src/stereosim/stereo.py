@@ -234,10 +234,11 @@ def compute_disparity(
         n_valid = (row1 - row0) * (col1 - col0)
         side = params.window_side
         dt = _agg_dtype(params.method, side)
-        # Both frames are matched as flat row-major runs. Window sum i * w + x
-        # is the window whose top-left pixel is (i, x), centered on pixel
-        # (row0 + i, x + r); the columns x < dmax and the windows that wrap
-        # past a row's end are summed too, and never read.
+        # Both frames are matched as flat row-major runs. In the band from row
+        # y0, window sum i * w + x is the window whose top-left pixel is
+        # (y0 + i, x), centered on pixel (row0 + y0 + i, x + r); the columns
+        # x < dmax and the windows that wrap past a row's end are summed too,
+        # and never read.
         a = left.pixels.astype(dt).reshape(-1)
         # dmax zeros before the right frame keep every shifted read in bounds
         b = np.zeros(dmax + h * w, dtype=dt)

@@ -188,7 +188,8 @@ def _match_in_bands(left, right, params, band_rows):
 @settings(max_examples=60)
 @given(banded_matches())
 # 7 output rows in bands of 3, 3 and 1
-@example((np.arange(90).reshape(9, 10) * 37 % 256, np.arange(90).reshape(9, 10) * 11 % 256, 1, 3, 3))
+@example((np.arange(90).reshape(9, 10) * 37 % 256, np.arange(90).reshape(9, 10) * 11 % 256,
+          1, 3, 3))
 def test_multi_band_matcher_matches_reference(case):
     left, right, radius, maxd, band_rows = case
     for method in METHODS:
