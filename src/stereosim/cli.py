@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import GrayImage, parse_pgm, serialize_pgm
+from .imaging import parse_pgm, serialize_pgm
 from .metrics import psnr, ssim
 from .sensornet import ScenarioError, _report_totals, load_scenario, run_simulation, save_report
 from .stereo import (
@@ -96,10 +96,11 @@ def bench_records(
     return records
 
 
-def _read_image(path: str) -> GrayImage:
+def _read(path: str, parse):
+    """parse applied to the bytes of path; a decoder's ValueError is prefixed with path."""
     data = Path(path).read_bytes()
     try:
-        return parse_pgm(data)
+        return parse(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -134,8 +135,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_disparity(args) -> int:
-    left = _read_image(args.left)
-    right = _read_image(args.right)
+    left = _read(args.left, parse_pgm)
+    right = _read(args.right, parse_pgm)
     params = MatchParams(args.radius, args.max_disparity, args.method)
     dmap, stats = compute_disparity(left, right, params)
     gray_path = Path(f"{args.out}.pgm")
@@ -148,11 +149,7 @@ def cmd_disparity(args) -> int:
 
 
 def cmd_depth(args) -> int:
-    data = Path(args.sidecar).read_bytes()
-    try:
-        dmap = parse_disparity(data)
-    except ValueError as exc:
-        raise ValueError(f"{args.sidecar}: {exc}") from None
+    dmap = _read(args.sidecar, parse_disparity)
     depth = disparity_to_depth(dmap, args.focal_length, args.baseline)
     n = int(depth.available.sum())
     if n:
@@ -203,8 +200,8 @@ def _depth_json(dmap: DisparityMap, depth: DepthMap) -> str:
 
 
 def cmd_metrics(args) -> int:
-    a = _read_image(args.a)
-    b = _read_image(args.b)
+    a = _read(args.a, parse_pgm)
+    b = _read(args.b, parse_pgm)
     s = ssim(a, b)
     p = psnr(a, b)
     if args.json:

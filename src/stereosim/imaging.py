@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 __all__ = [
@@ -12,9 +14,6 @@ __all__ = [
     "pgm_num_bytes",
     "downscale",
 ]
-
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
 
 class PgmParseError(ValueError):
     """Raised when a byte stream is not a valid 8-bit binary PGM."""
@@ -81,45 +80,14 @@ class GrayImage:
         return f"GrayImage({self.width}x{self.height})"
 
 
-class _HeaderScanner:
-    """Cursor over the PGM header that tracks byte offsets for diagnostics."""
+# A header field: a separator of whitespace and '#' comments, each comment
+# running to the end of its line, then a token up to the next of either.
+_HEADER_FIELD = re.compile(rb"((?:\s|#[^\n]*\n?)*)([^\s#]*)")
 
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
 
-    def skip_separator(self, context: str):
-        """Consume at least one byte of whitespace, with '#' comments running to end of line."""
-        start = self.pos
-        buf = self.buf
-        while self.pos < len(buf):
-            b = buf[self.pos]
-            if b in _WHITESPACE:
-                self.pos += 1
-            elif b == ord("#"):
-                nl = buf.find(b"\n", self.pos)
-                self.pos = len(buf) if nl < 0 else nl + 1
-            else:
-                break
-        if self.pos == start:
-            raise PgmParseError(
-                f"expected whitespace before {context} at byte offset {start}"
-            )
-
-    def read_int(self, field: str) -> int:
-        start = self.pos
-        buf = self.buf
-        while self.pos < len(buf) and buf[self.pos] not in _WHITESPACE and buf[self.pos] != ord("#"):
-            self.pos += 1
-        token = buf[start : self.pos]
-        if not token:
-            raise PgmParseError(f"missing {field} at byte offset {start}")
-        try:
-            return int(token)
-        except ValueError:
-            raise PgmParseError(
-                f"invalid {field} {token!r} at byte offset {start}"
-            ) from None
+def _pgm_header(width: int, height: int) -> bytes:
+    """The canonical header that serialize_pgm writes."""
+    return b"P5\n%d %d\n255\n" % (width, height)
 
 
 def parse_pgm(data: bytes) -> GrayImage:
@@ -132,25 +100,30 @@ def parse_pgm(data: bytes) -> GrayImage:
     buf = bytes(data)
     if buf[:2] != b"P5":
         raise PgmParseError(f"bad magic {buf[:2]!r} at byte offset 0, expected b'P5'")
-    scan = _HeaderScanner(buf)
-    scan.pos = 2
-    scan.skip_separator("width")
-    width = scan.read_int("width")
-    scan.skip_separator("height")
-    height = scan.read_int("height")
-    scan.skip_separator("maxval")
-    maxval = scan.read_int("maxval")
+    pos = 2
+    fields = []
+    for field in ("width", "height", "maxval"):
+        m = _HEADER_FIELD.match(buf, pos)
+        if not m[1]:
+            raise PgmParseError(f"expected whitespace before {field} at byte offset {pos}")
+        pos = m.end()
+        try:
+            fields.append(int(m[2]))
+        except ValueError:
+            what = f"invalid {field} {m[2]!r}" if m[2] else f"missing {field}"
+            raise PgmParseError(f"{what} at byte offset {m.start(2)}") from None
+    width, height, maxval = fields
     if width < 1:
         raise PgmParseError(f"width must be positive, got {width}")
     if height < 1:
         raise PgmParseError(f"height must be positive, got {height}")
     if not 1 <= maxval <= 255:
         raise PgmParseError(f"maxval must lie in [1, 255], got {maxval}")
-    if scan.pos >= len(buf) or buf[scan.pos] not in _WHITESPACE:
+    if not buf[pos : pos + 1].isspace():
         raise PgmParseError(
-            f"expected a single whitespace byte after maxval at byte offset {scan.pos}"
+            f"expected a single whitespace byte after maxval at byte offset {pos}"
         )
-    start = scan.pos + 1
+    start = pos + 1
     need = width * height
     have = len(buf) - start
     if have < need:
@@ -174,13 +147,12 @@ def parse_pgm(data: bytes) -> GrayImage:
 
 def serialize_pgm(img: GrayImage) -> bytes:
     """Encode a GrayImage as canonical binary PGM, byte-deterministic."""
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.pixels.tobytes()
+    return _pgm_header(img.width, img.height) + img.pixels.tobytes()
 
 
 def pgm_num_bytes(img: GrayImage) -> int:
     """Size in bytes of the canonical PGM encoding, without materializing it."""
-    return len(f"P5\n{img.width} {img.height}\n255\n") + img.width * img.height
+    return len(_pgm_header(img.width, img.height)) + img.width * img.height
 
 
 def downscale(img: GrayImage, factor: int) -> GrayImage:
@@ -204,6 +176,14 @@ def downscale(img: GrayImage, factor: int) -> GrayImage:
     # exact round-half-away-from-zero for non-negative integer means
     out = (2 * sums + counts) // (2 * counts)
     return GrayImage(out)
+
+
+def _require_int(name: str, value, minimum: int):
+    """Raise ValueError unless value is an integer (a bool is not) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _require_same_dims(a: GrayImage, b: GrayImage, a_name: str, b_name: str):

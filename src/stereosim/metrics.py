@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage, _require_same_dims, _row_bands, _sum_dtype, _window_sums
+from .imaging import GrayImage, _require_int, _require_same_dims, _row_bands, _sum_dtype, _window_sums
 
 __all__ = ["SsimParams", "MetricResult", "mse", "psnr", "ssim"]
 
@@ -32,10 +32,11 @@ class SsimParams:
 
     def __post_init__(self):
         # the variances are unbiased (divided by n - 1), so one pixel is too few
-        if self.window_side < 2:
-            raise ValueError(f"window_side must be >= 2, got {self.window_side}")
-        if not self.k1 > 0 or not self.k2 > 0:
-            raise ValueError(f"k1 and k2 must be positive, got {self.k1}, {self.k2}")
+        _require_int("window_side", self.window_side, 2)
+        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
+            raise ValueError(f"k1 and k2 must be finite and positive, got {self.k1}, {self.k2}")
+        if not 1 <= self.dynamic_range < math.inf:
+            raise ValueError(f"dynamic_range must be finite and >= 1, got {self.dynamic_range}")
 
 
 @dataclass(frozen=True)

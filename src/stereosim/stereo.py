@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import GrayImage, _require_same_dims, _row_bands, _sum_dtype, _window_sums
+from .imaging import GrayImage, _require_int, _require_same_dims, _row_bands, _sum_dtype, _window_sums
 
 __all__ = [
     "METHODS",
@@ -39,6 +39,14 @@ METHODS = ("sad", "ssd")
 SIDECAR_MAGIC = b"DSP1"
 RLE_MAGIC = b"DSR1"
 
+# The header both sidecar formats share: magic, then u32le width, height and
+# max_disparity. A DSP1 body holds one _PIXEL_RECORD per pixel, row-major; a
+# DSR1 body holds _RLE_RECORDs, each a run of equal pixels within a row.
+_HEADER = struct.Struct("<4sIII")
+_PIXEL_RECORD = np.dtype([("disparity", "<u2"), ("valid", "u1")])
+_RLE_RECORD = np.dtype([("run", "<u2"), ("disparity", "<u2"), ("valid", "u1")])
+_MAX_RUN = 0xFFFF
+
 
 class DisparityFormatError(ValueError):
     """Raised when a disparity sidecar byte stream is malformed."""
@@ -58,10 +66,8 @@ class MatchParams:
     method: str = "sad"
 
     def __post_init__(self):
-        if self.window_radius < 0:
-            raise ValueError(f"window_radius must be >= 0, got {self.window_radius}")
-        if self.max_disparity < 0:
-            raise ValueError(f"max_disparity must be >= 0, got {self.max_disparity}")
+        _require_int("window_radius", self.window_radius, 0)
+        _require_int("max_disparity", self.max_disparity, 0)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
@@ -328,8 +334,8 @@ def scale_to_gray(dmap: DisparityMap) -> GrayImage:
 
 
 def sidecar_num_bytes(width: int, height: int) -> int:
-    """Size of the exact disparity sidecar: 16 header bytes plus 3 per pixel."""
-    return 16 + 3 * width * height
+    """Size of the exact disparity sidecar: the header plus one record per pixel."""
+    return _HEADER.size + _PIXEL_RECORD.itemsize * width * height
 
 
 def _check_max_disparity(max_disparity: int):
@@ -341,66 +347,61 @@ def _check_max_disparity(max_disparity: int):
 
 
 def _sidecar_header(magic: bytes, dmap: DisparityMap) -> bytes:
-    """The 16-byte DSP1/DSR1 header: magic, then u32le width/height/max_disparity."""
     _check_max_disparity(dmap.max_disparity)
-    return magic + struct.pack("<III", dmap.width, dmap.height, dmap.max_disparity)
+    return _HEADER.pack(magic, dmap.width, dmap.height, dmap.max_disparity)
 
 
 def serialize_disparity(dmap: DisparityMap) -> bytes:
-    """Encode the exact sidecar: DSP1 magic, u32le width/height/max_disparity,
-    then row-major (u16le disparity, u8 valid) per pixel. Bit-exact."""
+    """Encode the exact DSP1 sidecar: the header, then one (u16le disparity,
+    u8 valid) record per pixel, row-major. Bit-exact."""
     header = _sidecar_header(SIDECAR_MAGIC, dmap)
-    n = dmap.width * dmap.height
-    body = np.empty((n, 3), dtype=np.uint8)
-    body[:, :2] = dmap.disparities.astype("<u2").reshape(n).view(np.uint8).reshape(n, 2)
-    body[:, 2] = dmap.valid.reshape(n).astype(np.uint8)
-    return header + body.tobytes()
+    records = np.empty(dmap.disparities.shape, dtype=_PIXEL_RECORD)
+    records["disparity"] = dmap.disparities
+    records["valid"] = dmap.valid
+    return header + records.tobytes()
 
 
-def _parse_sidecar_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
-    if data[:4] != magic:
-        raise DisparityFormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
-    if len(data) < 16:
-        raise DisparityFormatError(f"header truncated: need 16 bytes, have {len(data)}")
-    width, height, max_disparity = struct.unpack("<III", data[4:16])
+def _parse_sidecar(buf: bytes, magic: bytes, record: np.dtype):
+    """The header's width, height and max_disparity, then every whole record after it."""
+    if buf[: len(magic)] != magic:
+        raise DisparityFormatError(f"bad magic {buf[: len(magic)]!r}, expected {magic!r}")
+    if len(buf) < _HEADER.size:
+        raise DisparityFormatError(f"header truncated: need {_HEADER.size} bytes, have {len(buf)}")
+    _, width, height, max_disparity = _HEADER.unpack_from(buf)
     if width < 1 or height < 1:
         raise DisparityFormatError(f"dimensions must be positive, got {width}x{height}")
     _check_max_disparity(max_disparity)
-    return width, height, max_disparity
+    count = (len(buf) - _HEADER.size) // record.itemsize
+    return width, height, max_disparity, np.frombuffer(buf, record, count, _HEADER.size)
 
 
-def _check_records(disp: np.ndarray, valid: np.ndarray, max_disparity: int):
-    """Reject decoded disparities above max_disparity and valid flags other than 0/1."""
+def _checked_map(records: np.ndarray, repeats, shape, max_disparity: int) -> DisparityMap:
+    """The row-major map that repeats each record repeats times, once the records are checked."""
+    disp, valid = records["disparity"], records["valid"]
     if disp.size and int(disp.max()) > max_disparity:
         raise DisparityFormatError(
             f"disparity {int(disp.max())} exceeds max_disparity {max_disparity}"
         )
     if valid.size and int(valid.max()) > 1:
         raise DisparityFormatError(f"valid flag {int(valid.max())} is neither 0 nor 1")
+    return DisparityMap._trusted(
+        np.repeat(disp.astype(np.int32), repeats).reshape(shape),
+        np.repeat(valid.astype(bool), repeats).reshape(shape),
+        max_disparity,
+    )
 
 
 def parse_disparity(data: bytes) -> DisparityMap:
     """Decode a DSP1 sidecar produced by serialize_disparity."""
     buf = bytes(data)
-    width, height, max_disparity = _parse_sidecar_header(buf, SIDECAR_MAGIC)
-    n = width * height
-    need = 3 * n
-    if len(buf) - 16 < need:
-        raise DisparityFormatError(
-            f"pixel records truncated: need {need} bytes, have {len(buf) - 16}"
-        )
-    if len(buf) - 16 > need:
-        raise DisparityFormatError(f"{len(buf) - 16 - need} trailing bytes after last pixel")
-    body = np.frombuffer(buf, dtype=np.uint8, count=need, offset=16).reshape(n, 3)
-    disp = body[:, :2].copy().view("<u2").reshape(height, width).astype(np.int32)
-    valid = body[:, 2].reshape(height, width)
-    _check_records(disp, valid, max_disparity)
-    return DisparityMap._trusted(disp, valid.astype(bool), max_disparity)
-
-
-# one DSR1 run record: (run length, disparity, valid)
-_RLE_RECORD = np.dtype([("run", "<u2"), ("disparity", "<u2"), ("valid", "u1")])
-_MAX_RUN = 0xFFFF
+    width, height, max_disparity, records = _parse_sidecar(buf, SIDECAR_MAGIC, _PIXEL_RECORD)
+    need = _PIXEL_RECORD.itemsize * width * height
+    have = len(buf) - _HEADER.size
+    if have < need:
+        raise DisparityFormatError(f"pixel records truncated: need {need} bytes, have {have}")
+    if have > need:
+        raise DisparityFormatError(f"{have - need} trailing bytes after last pixel")
+    return _checked_map(records, 1, (height, width), max_disparity)
 
 
 def _rle_runs(dmap: DisparityMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -420,16 +421,16 @@ def _rle_runs(dmap: DisparityMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def rle_num_bytes(dmap: DisparityMap) -> int:
-    """Size of rle_encode_disparity(dmap): 16 header bytes plus 5 per run record."""
-    return 16 + 5 * int(_rle_runs(dmap)[2].sum())
+    """Size of rle_encode_disparity(dmap): the header plus its run records."""
+    return _HEADER.size + _RLE_RECORD.itemsize * int(_rle_runs(dmap)[2].sum())
 
 
 def rle_encode_disparity(dmap: DisparityMap) -> bytes:
     """Row-wise run-length encoding of (disparity, valid) pairs.
 
-    Layout: DSR1 magic, u32le width/height/max_disparity, then for each row
-    a sequence of (u16le run length, u16le disparity, u8 valid) records;
-    runs longer than 65535 are split. Rows never share runs.
+    Layout: the header, then for each row a sequence of (u16le run length,
+    u16le disparity, u8 valid) records; runs longer than 65535 are split.
+    Rows never share runs.
     """
     header = _sidecar_header(RLE_MAGIC, dmap)
     starts, lengths, pieces = _rle_runs(dmap)
@@ -451,8 +452,8 @@ def rle_decode_disparity(data: bytes) -> DisparityMap:
     alone cannot demand more memory than the stream's runs cover.
     """
     buf = bytes(data)
-    width, height, max_disparity = _parse_sidecar_header(buf, RLE_MAGIC)
-    records = np.frombuffer(buf, dtype=_RLE_RECORD, count=(len(buf) - 16) // 5, offset=16)
+    width, height, max_disparity, records = _parse_sidecar(buf, RLE_MAGIC, _RLE_RECORD)
+    size = _RLE_RECORD.itemsize
     runs = records["run"].astype(np.int64)
     ends = np.cumsum(runs)
     total = width * height
@@ -466,16 +467,12 @@ def rle_decode_disparity(data: bytes) -> DisparityMap:
     if bad.any():
         i = int(np.argmax(bad))
         raise DisparityFormatError(
-            f"run of {int(runs[i])} at byte offset {16 + 5 * i} overflows row {int(begins[i]) // width}"
+            f"run of {int(runs[i])} at byte offset {_HEADER.size + size * i} "
+            f"overflows row {int(begins[i]) // width}"
         )
-    pos = 16 + 5 * used
+    pos = _HEADER.size + size * used
     if not covered:
         raise DisparityFormatError(f"run records truncated at byte offset {pos}")
     if pos != len(buf):
         raise DisparityFormatError(f"{len(buf) - pos} trailing bytes after last row")
-    _check_records(records["disparity"], records["valid"], max_disparity)
-    return DisparityMap._trusted(
-        np.repeat(records["disparity"].astype(np.int32), runs).reshape(height, width),
-        np.repeat(records["valid"].astype(bool), runs).reshape(height, width),
-        max_disparity,
-    )
+    return _checked_map(records, runs, (height, width), max_disparity)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +167,23 @@ def test_corrupt_pgm_exits_two_and_names_path(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bad.pgm" in err and "magic" in err
+
+
+@pytest.mark.parametrize("command", ["disparity", "metrics", "depth"])
+def test_decoder_errors_are_prefixed_with_the_file_path(tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"P5 4 4\n255\n" if command != "depth" else b"DSP1")
+    decoder = "parse_disparity" if command == "depth" else "parse_pgm"
+    args = {"disparity": [str(bad), str(bad), "--out", str(tmp_path / "d")],
+            "metrics": [str(bad), str(bad)],
+            "depth": [str(bad), "--focal-length", "1", "--baseline", "1"]}[command]
+    # the decoder is looked up when the command runs, so a wrapper on the cli attribute sees it
+    with mock.patch(f"stereosim.cli.{decoder}", wraps=getattr(stereosim, decoder)) as spy:
+        assert run_cli(command, *args) == 2
+    assert spy.call_count == 1
+    message = {"parse_pgm": "pixel data truncated at byte offset 11: need 16 bytes, have 0",
+               "parse_disparity": "header truncated: need 16 bytes, have 4"}[decoder]
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 def test_metrics_same_file(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Golden decoder results for mutated PGM, DSP1 and DSR1 byte streams.
+"""Golden decoder results for mutated PGM, DSP1 and DSR1 byte streams, and byte counts.
 
 The corpus starts from a few small valid streams of each format and mutates
 each one deterministically: every truncation, and at every byte position
@@ -16,15 +16,21 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stereosim import (
     DisparityMap,
+    GrayImage,
     parse_disparity,
     parse_pgm,
+    pgm_num_bytes,
     rle_decode_disparity,
     rle_encode_disparity,
+    rle_num_bytes,
     serialize_disparity,
     serialize_pgm,
+    sidecar_num_bytes,
     texture,
 )
 
@@ -91,6 +97,26 @@ def test_codec_corpus_matches_golden():
     assert len(cases) == len(expected)
     for (label, decode, data), want in zip(cases, expected):
         assert outcome(decode, data) == want, label
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 40),
+    st.sampled_from([0, 1, 5, 0xFFFF]),
+    st.integers(0, 2**32 - 1),
+)
+@example(65537, 1, 0, 0)  # a run longer than 65535 takes two records
+def test_byte_counters_equal_encoded_lengths(width, height, max_disparity, seed):
+    rng = np.random.default_rng(seed)
+    img = GrayImage(rng.integers(0, 256, (height, width)))
+    assert pgm_num_bytes(img) == len(serialize_pgm(img))
+    # a few distinct disparities and a drawn valid fraction make runs of every length
+    values = rng.integers(0, max_disparity + 1, 3)
+    valid = rng.random((height, width)) < rng.random()
+    dmap = DisparityMap(rng.choice(values, (height, width)), valid, max_disparity)
+    assert sidecar_num_bytes(width, height) == len(serialize_disparity(dmap))
+    assert rle_num_bytes(dmap) == len(rle_encode_disparity(dmap))
 
 
 if __name__ == "__main__":

@@ -194,3 +194,26 @@ def test_ssim_params_validation():
         SsimParams(window_side=1)
     with pytest.raises(ValueError, match="k1 and k2"):
         SsimParams(k1=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("window_side", 2.5, "window_side must be an integer, got 2.5"),
+        ("window_side", True, "window_side must be an integer, got True"),
+        ("k1", math.nan, "k1 and k2 must be finite and positive, got nan, 0.03"),
+        ("k2", math.inf, "k1 and k2 must be finite and positive, got 0.01, inf"),
+        ("dynamic_range", 0, "dynamic_range must be finite and >= 1, got 0"),
+        ("dynamic_range", math.nan, "dynamic_range must be finite and >= 1, got nan"),
+        ("dynamic_range", math.inf, "dynamic_range must be finite and >= 1, got inf"),
+    ],
+)
+def test_ssim_params_reject_values_the_kernel_cannot_use(field, value, message):
+    # each of these used to give a NaN score or a numpy TypeError inside ssim
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SsimParams(**{field: value})
+
+
+def test_constant_image_scores_one_at_the_smallest_dynamic_range():
+    flat = GrayImage(np.full((9, 9), 7))
+    assert ssim(flat, flat, SsimParams(dynamic_range=1)).value == 1.0

@@ -39,6 +39,22 @@ def test_match_params_validation():
     assert MatchParams(window_radius=3).window_side == 7
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5, 4), "window_radius must be an integer, got 1.5"),
+        ((1, 4.0), "max_disparity must be an integer, got 4.0"),
+        ((True, 4), "window_radius must be an integer, got True"),
+        ((1, False), "max_disparity must be an integer, got False"),
+    ],
+)
+def test_match_params_require_integer_sizes(args, message):
+    # such values used to pass here and fail later as numpy TypeErrors inside the matcher
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MatchParams(*args)
+    assert MatchParams(np.int64(1), np.int64(4)).window_side == 3
+
+
 def test_identical_images_give_zero_disparity():
     img = texture(12, 10, seed=3)
     for method in ("sad", "ssd"):
