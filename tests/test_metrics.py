@@ -209,7 +209,7 @@ def test_ssim_params_validation():
     ],
 )
 def test_ssim_params_reject_values_the_kernel_cannot_use(field, value, message):
-    # each of these used to give a NaN score or a numpy TypeError inside ssim
+    # each would otherwise give a NaN score or a numpy TypeError inside ssim
     with pytest.raises(ValueError, match=f"^{message}$"):
         SsimParams(**{field: value})
 
