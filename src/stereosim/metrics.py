@@ -37,6 +37,23 @@ class SsimParams:
             raise ValueError(f"k1 and k2 must be finite and positive, got {self.k1}, {self.k2}")
         if not 1 <= self.dynamic_range < math.inf:
             raise ValueError(f"dynamic_range must be finite and >= 1, got {self.dynamic_range}")
+        # ssim divides one product of two factors, each at most 2 * 255**2 plus
+        # C1 or C2, by another: the products must be finite, and C1 * C2 nonzero,
+        # or two black windows score 0 / 0
+        try:
+            c1, c2 = self._constants()
+            usable = c1 * c2 > 0 and math.isfinite((2 * 255**2 + c1) * (2 * 255**2 + c2))
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise ValueError(
+                f"k1, k2 and dynamic_range give ssim constants out of range, "
+                f"got {self.k1}, {self.k2}, {self.dynamic_range}"
+            )
+
+    def _constants(self) -> tuple[float, float]:
+        """C1 and C2, the luminance and contrast stabilizers."""
+        return (self.k1 * self.dynamic_range) ** 2, (self.k2 * self.dynamic_range) ** 2
 
 
 @dataclass(frozen=True)
@@ -89,8 +106,7 @@ def ssim(a: GrayImage, b: GrayImage, params: SsimParams | None = None) -> Metric
             f"image {a.width}x{a.height} is smaller than the {side}x{side} ssim window"
         )
 
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    c1, c2 = params._constants()
     scores = _ssim_band_scores(a.pixels, b.pixels, side, c1, c2)
     windows = (a.height - side + 1) * (a.width - side + 1)
     return MetricResult(math.fsum(itertools.chain.from_iterable(scores)) / windows)

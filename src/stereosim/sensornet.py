@@ -23,6 +23,7 @@ from .stereo import (
     DisparityMap,
     MatchParams,
     compute_disparity,
+    rle_encode_disparity,  # noqa: F401  (the simulator charges rle_num_bytes; kept importable here)
     rle_num_bytes,
     sidecar_num_bytes,
 )

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -206,11 +207,17 @@ def test_ssim_params_validation():
         ("dynamic_range", 0, "dynamic_range must be finite and >= 1, got 0"),
         ("dynamic_range", math.nan, "dynamic_range must be finite and >= 1, got nan"),
         ("dynamic_range", math.inf, "dynamic_range must be finite and >= 1, got inf"),
+        # finite, but C2 overflows in ssim
+        ("k2", 1e200, "k1, k2 and dynamic_range give ssim constants out of range, got 0.01, 1e+200, 255"),
+        # finite C1 and C2, but their product overflows
+        ("dynamic_range", 1e150, "k1, k2 and dynamic_range give ssim constants out of range, got 0.01, 0.03, 1e+150"),
+        # C1 underflows to 0, so two black windows score 0 / 0
+        ("k1", 1e-200, "k1, k2 and dynamic_range give ssim constants out of range, got 1e-200, 0.03, 255"),
     ],
 )
 def test_ssim_params_reject_values_the_kernel_cannot_use(field, value, message):
-    # each would otherwise give a NaN score or a numpy TypeError inside ssim
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    # each would otherwise give a NaN score, an OverflowError or a numpy TypeError inside ssim
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SsimParams(**{field: value})
 
 
