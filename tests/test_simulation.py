@@ -1,5 +1,6 @@
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from stereosim import (
 
 from stereosim.sensornet import POLICIES, EventRecord, _json_text
 
-from oracles import all_simple_paths, naive_mean_abs_change
+from oracles import all_simple_paths, naive_mean_abs_change, naive_run_simulation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -544,6 +545,35 @@ def test_mismatched_frame_dimensions_rejected():
         run_simulation(sc)
 
 
+def test_a_bad_frame_pair_is_reported_at_every_step_that_shows_it():
+    # one unequal pair and one pair of another size, each shared across
+    # steps and pairs; a size is bad only against its own pair's step 0
+    good = shifted_sequence(16, 16, [1], 7)[0]
+    small = shifted_sequence(12, 12, [1], 7)[0]
+    unequal = (good[0], small[1])
+    sc = Scenario(
+        nodes=_nodes(*((i, "sink" if i == 0 else "camera", 1.0) for i in range(7))),
+        pairs=[
+            StereoPair(1, 2, MatchParams(1, 4, "sad"), [unequal, good, unequal]),
+            StereoPair(3, 4, MatchParams(1, 4, "sad"), [good, unequal, small, small]),
+            StereoPair(5, 6, MatchParams(1, 4, "sad"), [small, unequal, small]),
+        ],
+        links=[(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)],
+    )
+    with pytest.raises(ScenarioError) as info:
+        run_simulation(sc)
+    unequal_message = "left is 16x16 but right is 12x12"
+    assert info.value.errors == [
+        f"pairs[0].frames[0]: {unequal_message}",
+        f"pairs[0].frames[2]: {unequal_message}",
+        f"pairs[1].frames[1]: {unequal_message}",
+        "pairs[1].frames[2]: 12x12 differs from step 0 (16x16)",
+        "pairs[1].frames[3]: 12x12 differs from step 0 (16x16)",
+        f"pairs[2].frames[1]: {unequal_message}",
+        "pairs[2].frames[1]: 16x16 differs from step 0 (12x12)",
+    ]
+
+
 def test_energy_model_override_flows_through():
     model = EnergyModel(tx_energy_per_64kb=754.0, cpu_energy_per_64kb_processed=0.0039)
     sc = make_line_scenario(policy="raw_always", shifts=(1,), energy=model)
@@ -740,23 +770,43 @@ def test_a_pgm_path_that_fails_is_reported_at_each_entry(tmp_path):
 
 @st.composite
 def small_scenarios(draw):
-    """Random small fields: every policy, batteries low enough that nodes die,
-    and pairs that share one frame list or hold their own."""
+    """Random small fields for every policy.
+
+    Batteries are low enough that cameras and relays die mid-run. Two relays
+    and the left cameras carry several pairs' traffic, over routes with
+    equal-length alternatives. Schedules differ in length. A pair holds its
+    own frames, shares another pair's frames and match spec, or joins them
+    after first steps of its own, so equal inputs follow unequal ones.
+    """
     battery = st.sampled_from([1e-6, 0.5, 3.0, 20.0, 1e9])
-    nodes = [SensorNode(0, "sink"), SensorNode(1, "relay", draw(battery))]
-    links, pairs, sequences = [(0, 1)], [], []
+    nodes = [SensorNode(0, "sink"), SensorNode(1, "relay", draw(battery)), SensorNode(2, "relay", draw(battery))]
+    links = [(0, 1)] + [(hub, 2) for hub in draw(st.lists(st.sampled_from([0, 1]), min_size=1, unique=True))]
     width, height = draw(st.integers(8, 12)), draw(st.integers(4, 8))
-    for k in range(draw(st.integers(1, 3))):
-        left, right = 2 + 2 * k, 3 + 2 * k
+
+    def own_frames(min_steps=1, max_steps=5):
+        shifts = draw(st.lists(st.integers(0, 3), min_size=min_steps, max_size=max_steps))
+        return shifted_sequence(width, height, shifts, draw(st.integers(0, 2)))
+
+    pairs = []
+    for k in range(draw(st.integers(1, 4))):
+        left, right = 3 + 2 * k, 4 + 2 * k
         nodes += [SensorNode(left, "camera", draw(battery)), SensorNode(right, "camera", draw(battery))]
-        links.append((draw(st.sampled_from([0, 1])), left))
-        if sequences and draw(st.booleans()):
-            frames = draw(st.sampled_from(sequences))
+        hubs = [0, 1, 2] + [p.left_node for p in pairs]
+        links += [(hub, left) for hub in draw(st.lists(st.sampled_from(hubs), min_size=1, max_size=2, unique=True))]
+        links.append((left, right))
+        frames_from = draw(st.sampled_from(["own", "shared", "joined"])) if pairs else "own"
+        if frames_from == "own":
+            params = MatchParams(
+                draw(st.integers(0, 1)), draw(st.integers(2, 3)), draw(st.sampled_from(["sad", "ssd"]))
+            )
+            frames = own_frames()
         else:
-            shifts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
-            frames = shifted_sequence(width, height, shifts, draw(st.integers(0, 2)))
-            sequences.append(frames)
-        params = MatchParams(draw(st.integers(0, 1)), 3, draw(st.sampled_from(["sad", "ssd"])))
+            source = draw(st.sampled_from(pairs))
+            params = draw(st.sampled_from([source.match_params, replace(source.match_params)]))
+            frames = source.frames
+            if frames_from == "joined":
+                cut = draw(st.integers(1, max(1, len(frames) - 1)))
+                frames = own_frames(cut, cut) + frames[cut:]
         pairs.append(StereoPair(left, right, params, frames))
     return Scenario(
         nodes=nodes,
@@ -780,6 +830,29 @@ def test_save_report_writes_the_bytes_of_json_dumps(scenario):
         out = Path(tmp) / "report.json"
         save_report(report, out)
         assert out.read_bytes() == _json_dumps_report(report)
+
+
+def _joined_frames_scenario():
+    """Pair (5, 6) sees pair (3, 4)'s inputs from step 2 on, after a first step of its own."""
+    frames = shifted_sequence(12, 8, [1, 1, 3], 4)
+    joined = shifted_sequence(12, 8, [2], 4) + frames[1:]
+    return Scenario(
+        nodes=_nodes((0, "sink", 0.0), *((i, "camera", 1e9) for i in range(3, 7))),
+        pairs=[StereoPair(3, 4, MatchParams(1, 3, "sad"), frames),
+               StereoPair(5, 6, MatchParams(1, 3, "sad"), joined)],
+        links=[(0, 3), (3, 4), (0, 5), (5, 6)],
+        event_threshold=0.5,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_scenarios())
+@example(_joined_frames_scenario())
+def test_simulate_writes_the_bytes_of_the_naive_simulator(scenario):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        save_report(run_simulation(scenario), out)
+        assert out.read_bytes() == naive_run_simulation(scenario)
 
 
 _json_leaves = (
