@@ -985,16 +985,31 @@ def _json_text(value, pad: str = "") -> str:
 
 
 def _json_objects(objects: list[dict], pad: str) -> list[str]:
-    """Non-empty objects with one key set, each as _json_text writes it at pad."""
+    """Non-empty objects with one key set, each as _json_text writes it at pad.
+
+    The objects are rendered column by column into one %-template per
+    object. A column renders each distinct exact int, str or all-int tuple
+    once; other values render each time, because 1 == True == 1.0 and
+    (1, 2) == (True, 2) although their tokens differ.
+    """
     inner = pad + "  "
     keys = sorted(objects[0])
-    labels = [f",\n{inner}{encode_basestring_ascii(k)}: " for k in keys]
-    labels[0] = "{" + labels[0][1:]
-    close = "\n" + pad + "}"
-    return [
-        "".join([label + _json_text(obj[k], inner) for label, k in zip(labels, keys)]) + close
-        for obj in objects
-    ]
+    labels = [f"{inner}{encode_basestring_ascii(k)}".replace("%", "%%") + ": %s" for k in keys]
+    template = "{\n" + ",\n".join(labels) + "\n" + pad + "}"
+    columns = []
+    for k in keys:
+        memo, tokens = {}, []
+        for value in [obj[k] for obj in objects]:
+            cls = type(value)
+            if cls is int or cls is str or cls is tuple and all(type(v) is int for v in value):
+                token = memo.get(value)
+                if token is None:
+                    token = memo[value] = _json_text(value, inner)
+            else:
+                token = _json_text(value, inner)
+            tokens.append(token)
+        columns.append(tokens)
+    return [template % row for row in zip(*columns)]
 
 
 def save_report(report: SimReport, path: Path | str):

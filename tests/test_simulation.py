@@ -878,6 +878,8 @@ def _json_records(draw, values):
     max_leaves=20,
 ))
 @example({"numpy": np.float64(2.5), "flag": True, "text": "\u00e9\n", "zero": -0.0, "big": 10**30})
+@example([{"n": 1}, {"n": True}, {"n": 1.0}, {"n": 0}])
+@example([{"t": (1, 2)}, {"t": (True, 2)}, {"t": (1.0, 2)}])
 def test_json_text_writes_what_json_dumps_writes(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
