@@ -615,9 +615,10 @@ class _Loader:
     def __init__(self, base_dir: Path | None):
         self.base_dir = base_dir
         self.errors: list[str] = []
-        # equal synthetic frames are one object, so the simulator's memos
-        # match them by identity first
+        # equal synthetic frames and equal match specs are one object each,
+        # so the simulator's memos match them by identity first
         self.sequences: dict[tuple, list[tuple[GrayImage, GrayImage]]] = {}
+        self.match_specs: dict[MatchParams, MatchParams] = {}
 
     def fail(self, where: str, message: str):
         self.errors.append(f"{where}: {message}")
@@ -714,7 +715,8 @@ class _Loader:
         count = partial(self.get_int, minimum=0)
         # method is passed as given: JSON null is a value, which MatchParams reports
         readers = {"window_radius": count, "max_disparity": count, "method": lambda w, o, k: o[k]}
-        return self.load_fields(where, obj, MatchParams, readers)
+        params = self.load_fields(where, obj, MatchParams, readers)
+        return None if params is None else self.match_specs.setdefault(params, params)
 
     def load_frames(self, where: str, obj, scenario_seed: int):
         if not self.expect_object(where, obj, {"files", "synthetic"}):

@@ -749,6 +749,22 @@ def test_equal_frame_specs_share_frame_objects():
     assert len({id(img) for frames in same_spec for pair in frames for img in pair}) == 5
 
 
+def test_equal_match_specs_share_one_params_object():
+    doc = _scenario_dict()
+    doc["nodes"] += [{"id": i, "role": "camera", "battery": 1e9} for i in range(3, 9)]
+    doc["links"] += [[0, 3], [3, 4], [0, 5], [5, 6], [0, 7], [7, 8]]
+    spec = doc["pairs"][0]["match"]
+    doc["pairs"] += [
+        dict(doc["pairs"][0], left=3, right=4, match=dict(spec)),
+        dict(doc["pairs"][0], left=5, right=6, match=dict(spec, method="ssd")),
+        dict(doc["pairs"][0], left=7, right=8, match={"window_radius": 1, "max_disparity": 4}),
+    ]
+    params = [p.match_params for p in scenario_from_dict(doc).pairs]
+    # the last pair leaves method at its default, sad, so its spec equals the first
+    assert params[0] is params[1] is params[3]
+    assert params[2] == MatchParams(1, 4, "ssd") and params[2] is not params[0]
+
+
 def test_a_pgm_path_that_fails_is_reported_at_each_entry(tmp_path):
     (tmp_path / "bad.pgm").write_bytes(b"P5\n2 2\n255\n\x00")
     doc = _scenario_dict()
