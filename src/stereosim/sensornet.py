@@ -452,11 +452,12 @@ def run_simulation(scenario: Scenario) -> SimReport:
         )
         for n in scenario.nodes
     }
-    pair_order = sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node))
-    pair_reports = {}
-    for pair in pair_order:
+    # per pair, in step order: the pair, its key, its intra-pair hop and its
+    # report, each one object for the whole run
+    plans = []
+    for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
-        pair_reports[(pair.left_node, pair.right_node)] = PairReport(
+        pr = PairReport(
             left=pair.left_node,
             right=pair.right_node,
             width=w,
@@ -468,6 +469,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
             rle_bytes_min=None,
             rle_bytes_max=None,
         )
+        plans.append((pair, (pair.left_node, pair.right_node), (pair.right_node, pair.left_node), pr))
 
     events: list[EventRecord] = []
     transmissions: list[TransmissionRecord] = []
@@ -485,9 +487,14 @@ def run_simulation(scenario: Scenario) -> SimReport:
             rep.died_at_step = step
         return rep
 
+    paths: dict[tuple[int, ...], list[SensorNode]] = {}
+
     def transmit(step, key, path_ids, nbytes, kind):
+        path = paths.get(path_ids)
+        if path is None:
+            path = paths[path_ids] = [nodes[i] for i in path_ids]
         try:
-            charged = charge_transmission([nodes[i] for i in path_ids], nbytes, model)
+            charged = charge_transmission(path, nbytes, model)
         except DeadNodeError as exc:
             reason = "origin-dead" if exc.node_id == path_ids[0] else "relay-dead"
             drops.append(DropRecord(step, key, reason, exc.node_id, kind, nbytes))
@@ -497,15 +504,14 @@ def run_simulation(scenario: Scenario) -> SimReport:
             rep = book(node, step, cost, drawn)
             rep.transmission_uj += drawn
             rep.bytes_transmitted += nbytes
-        transmissions.append(TransmissionRecord(step, key, kind, nbytes, tuple(path_ids)))
+        transmissions.append(TransmissionRecord(step, key, kind, nbytes, path_ids))
 
     for step in range(1, steps + 1):
         used = {}
         changes: dict[tuple, tuple[bool, float]] = {}
-        for pair in pair_order:
+        for pair, key, hop, pr in plans:
             if step > len(pair.frames):
                 continue
-            key = (pair.left_node, pair.right_node)
             left = nodes[pair.left_node]
             right = nodes[pair.right_node]
             if not left.alive or not right.alive:
@@ -515,10 +521,9 @@ def run_simulation(scenario: Scenario) -> SimReport:
             lf, rf = pair.frames[step - 1]
             # every frame of a pair has the step-0 size (validated), so its
             # byte counts are per-run constants; both frames weigh the same
-            pr = pair_reports[key]
 
             # partner frame crosses the intra-pair link so the left node can match
-            transmit(step, key, [right.id, left.id], pr.raw_pair_bytes // 2, "raw_frame")
+            transmit(step, key, hop, pr.raw_pair_bytes // 2, "raw_frame")
 
             workload = pr.raw_pair_bytes + pr.sidecar_bytes
             drawn = charge_processing(left, workload, model)
@@ -563,11 +568,11 @@ def run_simulation(scenario: Scenario) -> SimReport:
         event_threshold=scenario.event_threshold,
         seed=scenario.seed,
         nodes=[reports[nid] for nid in sorted(reports)],
-        pairs=[pair_reports[(p.left_node, p.right_node)] for p in pair_order],
+        pairs=[pr for *_, pr in plans],
         events=events,
         transmissions=transmissions,
         drops=drops,
-        total_elementary_ops=sum(pr.elementary_ops for pr in pair_reports.values()),
+        total_elementary_ops=sum(pr.elementary_ops for *_, pr in plans),
         lifetime=None,
     )
     report.lifetime = network_lifetime(report)
