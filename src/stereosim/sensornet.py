@@ -372,6 +372,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append(f"event_threshold: must be >= 0, got {scenario.event_threshold}")
 
     seen_pairs = set()
+    # (left, right) frame objects, by identity, that passed against a step-0 size
+    passed: set[tuple[int, int, int, int]] = set()
     for i, pair in enumerate(scenario.pairs):
         where = f"pairs[{i}]"
         ok_nodes = True
@@ -396,6 +398,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             continue
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
         for t, (lf, rf) in enumerate(pair.frames):
+            checked = (id(lf), id(rf), w, h)
+            if checked in passed:
+                continue
+            found = len(errors)
             try:
                 _require_same_dims(lf, rf, "left", "right")
             except ValueError as exc:
@@ -404,6 +410,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 errors.append(
                     f"{where}.frames[{t}]: {lf.width}x{lf.height} differs from step 0 ({w}x{h})"
                 )
+            if len(errors) == found:
+                passed.add(checked)
         for finding in pair.match_params.extent_findings(w, h, "frame"):
             errors.append(f"{where}.match: {finding}")
         if ok_nodes and len(sinks) == 1 and pair.left_node not in routes:

@@ -556,7 +556,7 @@ def test_a_bad_frame_pair_is_reported_at_every_step_that_shows_it():
         pairs=[
             StereoPair(1, 2, MatchParams(1, 4, "sad"), [unequal, good, unequal]),
             StereoPair(3, 4, MatchParams(1, 4, "sad"), [good, unequal, small, small]),
-            StereoPair(5, 6, MatchParams(1, 4, "sad"), [small, unequal, small]),
+            StereoPair(5, 6, MatchParams(1, 4, "sad"), [small, unequal, good, small]),
         ],
         links=[(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)],
     )
@@ -571,6 +571,7 @@ def test_a_bad_frame_pair_is_reported_at_every_step_that_shows_it():
         "pairs[1].frames[3]: 12x12 differs from step 0 (16x16)",
         f"pairs[2].frames[1]: {unequal_message}",
         "pairs[2].frames[1]: 16x16 differs from step 0 (12x12)",
+        "pairs[2].frames[2]: 16x16 differs from step 0 (12x12)",
     ]
 
 
