@@ -30,33 +30,12 @@ from .stereo import (
 from .synthetic import shifted_sequence
 
 __all__ = [
-    "ROLES",
-    "POLICIES",
-    "EnergyModel",
-    "SensorNode",
-    "StereoPair",
-    "Scenario",
-    "ScenarioError",
-    "RoutingError",
-    "DeadNodeError",
-    "EventRecord",
-    "TransmissionRecord",
-    "DropRecord",
-    "NodeReport",
-    "PairReport",
-    "SimReport",
-    "route_to_sink",
-    "detect_event",
-    "transmission_bytes",
-    "charge_processing",
-    "charge_transmission",
-    "run_simulation",
-    "network_lifetime",
-    "validate_scenario",
-    "scenario_from_dict",
-    "load_scenario",
-    "report_to_dict",
-    "save_report",
+    "ROLES", "POLICIES", "EnergyModel", "SensorNode", "StereoPair", "Scenario",
+    "ScenarioError", "RoutingError", "DeadNodeError",
+    "EventRecord", "TransmissionRecord", "DropRecord", "NodeReport", "PairReport", "SimReport",
+    "route_to_sink", "detect_event", "transmission_bytes", "charge_processing",
+    "charge_transmission", "run_simulation", "network_lifetime", "validate_scenario",
+    "scenario_from_dict", "load_scenario", "report_to_dict", "save_report",
 ]
 
 ROLES = ("camera", "relay", "sink")
@@ -199,8 +178,8 @@ class PairReport:
     elementary_ops: int
     sidecar_bytes: int
     raw_pair_bytes: int
-    rle_bytes_min: int | None
-    rle_bytes_max: int | None
+    rle_bytes_min: int | None = None
+    rle_bytes_max: int | None = None
 
 
 @dataclass
@@ -451,17 +430,10 @@ def run_simulation(scenario: Scenario) -> SimReport:
     model = scenario.energy
 
     nodes = {n.id: replace(n) for n in scenario.nodes}
-    reports = {
-        n.id: NodeReport(
-            id=n.id,
-            role=n.role,
-            initial_battery_uj=n.battery,
-            final_battery_uj=n.battery,
-        )
-        for n in scenario.nodes
-    }
+    reports = {n.id: NodeReport(n.id, n.role, n.battery, n.battery) for n in scenario.nodes}
     # per pair, in step order: the pair, its key, its intra-pair hop and its
-    # report, each one object for the whole run
+    # report, each one object for the whole run. Every frame of a pair has the
+    # step-0 size (validated), so its byte counts are per-run constants.
     plans = []
     for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
@@ -474,8 +446,6 @@ def run_simulation(scenario: Scenario) -> SimReport:
             elementary_ops=0,
             sidecar_bytes=sidecar_num_bytes(w, h),
             raw_pair_bytes=transmission_bytes(pair.frames[0]),
-            rle_bytes_min=None,
-            rle_bytes_max=None,
         )
         plans.append((pair, (pair.left_node, pair.right_node), (pair.right_node, pair.left_node), pr))
 
@@ -527,10 +497,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
                 drops.append(DropRecord(step, key, "camera-dead", dead, None, 0))
                 continue
             lf, rf = pair.frames[step - 1]
-            # every frame of a pair has the step-0 size (validated), so its
-            # byte counts are per-run constants; both frames weigh the same
-
-            # partner frame crosses the intra-pair link so the left node can match
+            # partner frame crosses the intra-pair link so the left node can
+            # match; both frames weigh the same
             transmit(step, key, hop, pr.raw_pair_bytes // 2, "raw_frame")
 
             workload = pr.raw_pair_bytes + pr.sidecar_bytes
@@ -558,13 +526,9 @@ def run_simulation(scenario: Scenario) -> SimReport:
             last[key] = (inputs, dmap)
 
             if scenario.policy == "raw_always":
-                send, kind, nbytes = True, "raw_pair", pr.raw_pair_bytes
-            elif scenario.policy == "disparity_always":
-                send, kind, nbytes = True, "disparity_rle", rle_nbytes
-            else:
-                send, kind, nbytes = triggered, "disparity_rle", rle_nbytes
-            if send:
-                transmit(step, key, routes[left.id], nbytes, kind)
+                transmit(step, key, routes[left.id], pr.raw_pair_bytes, "raw_pair")
+            elif triggered or scenario.policy == "disparity_always":
+                transmit(step, key, routes[left.id], rle_nbytes, "disparity_rle")
         perceived = used
 
     for nid, node in nodes.items():
@@ -973,8 +937,7 @@ def _json_text(value, pad: str = "") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False) writes it at pad.
 
     value is JSON-ready, with string keys. A list of objects that share one
-    key set, such as a report's record lists, renders every object from
-    "key": labels made once for the whole list.
+    key set, such as a report's record lists, renders column by column.
     """
     token = _SCALAR_TOKENS.get(type(value))
     if token is not None:
