@@ -99,8 +99,7 @@ class DisparityMap:
     __slots__ = ("_disparities", "_valid", "_max_disparity")
 
     def __init__(self, disparities, valid, max_disparity: int):
-        if max_disparity < 0:
-            raise ValueError(f"max_disparity must be >= 0, got {max_disparity}")
+        _require_int("max_disparity", max_disparity, 0)
         d = np.asarray(disparities)
         v = np.asarray(valid)
         if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:

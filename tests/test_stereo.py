@@ -1,3 +1,4 @@
+import re
 import struct
 from unittest import mock
 
@@ -380,6 +381,22 @@ def test_disparity_map_validation():
         DisparityMap([[1]], [[True, False]], 2)
     with pytest.raises(ValueError, match=r"\[0, 2\]"):
         DisparityMap([[3]], [[True]], 2)
+
+
+@pytest.mark.parametrize(
+    "max_disparity, message",
+    [
+        (3.5, "max_disparity must be an integer, got 3.5"),
+        (3.0, "max_disparity must be an integer, got 3.0"),
+        (True, "max_disparity must be an integer, got True"),
+        (-1, "max_disparity must be >= 0, got -1"),
+    ],
+)
+def test_disparity_map_requires_an_integer_max_disparity(max_disparity, message):
+    # 3.5 used to be truncated to 3
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DisparityMap([[3]], [[True]], max_disparity)
+    assert DisparityMap([[3]], [[True]], np.int64(3)).max_disparity == 3
 
 
 # ---------------------------------------------------------------------------
