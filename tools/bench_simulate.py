@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time each stage of `stereosim simulate` and record it in BENCH_simulate.json.
 
-    python3 tools/bench_simulate.py [--tree LABEL=SRC_DIR ...] [--rounds 3] [--runs 9]
+    python3 tools/bench_simulate.py [--tree LABEL=SRC_DIR ...] [--runs 15]
 
-Each tree is a stereosim source directory (default: current=src). For every
-round, field and tree, in an order that alternates from round to round, one
-fresh process imports stereosim from that tree, writes the field's scenario
-to a temporary directory, simulates it once as a warm-up and then `--runs`
-times, timing these stages of each run with perf_counter:
+Each tree is a stereosim source directory (default: current=src). All trees
+are imported into one process, each as a package of its own name, and their
+runs alternate, in an order that reverses from run to run, so that a slow
+spell of the host falls on every tree alike. For each field, every tree
+simulates once as a warm-up and then `--runs` times, timing these stages of
+each run with perf_counter:
 
 - load_scenario: read and build the scenario file;
 - validate_scenario: the checks run_simulation starts with;
@@ -20,26 +21,33 @@ two relays and fifty event-gated 64x64 pairs over forty steps. In
 `field-shared` every pair sees the same synthetic frames; in
 `field-distinct` each pair has its own seed, so every pair is matched.
 
-A record holds one tree's samples of one field, pooled over all rounds: the
-median and quartiles of each stage, the sizes, and the Python version, numpy
-version and core count. Records already in the file under other labels or
-fields are kept, so before and after records can sit side by side.
+A record holds one tree's runs of one field: the median and quartiles of
+each stage, in how many runs each stage was faster than in the first tree's
+run next to it, the sizes, and the Python version, numpy version and core
+count. Each run starts after a garbage collection, so no tree pays for
+another's garbage.
+Records already in the file under other labels or fields are kept, so
+before and after records can sit side by side.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
+import importlib
+import importlib.util
 import io
 import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_simulate.json"
@@ -71,89 +79,84 @@ def scenario(field: str) -> dict:
     }
 
 
-def worker(field: str, runs: int) -> dict:
-    """Samples of every stage, after one warm-up run; stereosim comes from sys.path."""
-    import numpy
-    from stereosim import cli, sensornet
+def import_tree(index: int, src: Path):
+    """The stereosim package under src, imported under a name of its own."""
+    name = f"_stereosim_tree{index}"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "stereosim" / "__init__.py", submodule_search_locations=[str(src / "stereosim")]
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.sensornet"), importlib.import_module(f"{name}.cli")
 
-    samples: dict[str, list[float]] = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "scenario.json", Path(tmp) / "report.json"
-        path.write_text(json.dumps(scenario(field)))
 
-        def timed(stage, fn, *args):
-            t0 = time.perf_counter()
-            result = fn(*args)
-            samples.setdefault(stage, []).append(time.perf_counter() - t0)
-            return result
+def simulate(sensornet, cli, path: Path, out: Path, samples: dict) -> tuple[dict, str]:
+    """One timed run of every stage; returns the report's sizes and text."""
 
-        for _ in range(runs + 1):
-            sc = timed("load_scenario", sensornet.load_scenario, path)
-            timed("validate_scenario", sensornet.validate_scenario, sc)
-            report = timed("run_simulation", sensornet.run_simulation, sc)
-            doc = timed("report_to_dict", sensornet.report_to_dict, report)
-            text = timed("_json_text", sensornet._json_text, doc)
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = timed("cli_simulate", cli.main, ["simulate", str(path), "--out", str(out)])
-            if code != 0 or out.read_text() != text + "\n":
-                raise SystemExit(f"simulate failed or wrote other bytes (exit code {code})")
-        sizes = {"pairs": PAIRS, "steps": STEPS, "width": SIDE, "height": SIDE,
-                 "transmissions": len(report.transmissions), "report_bytes": len(text) + 1}
-    return {
-        "samples": {stage: values[1:] for stage, values in samples.items()},
-        "sizes": sizes,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "cpu_count": os.cpu_count(),
-    }
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        samples.setdefault(stage, []).append(time.perf_counter() - t0)
+        return result
+
+    sc = timed("load_scenario", sensornet.load_scenario, path)
+    timed("validate_scenario", sensornet.validate_scenario, sc)
+    report = timed("run_simulation", sensornet.run_simulation, sc)
+    doc = timed("report_to_dict", sensornet.report_to_dict, report)
+    text = timed("_json_text", sensornet._json_text, doc)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = timed("cli_simulate", cli.main, ["simulate", str(path), "--out", str(out)])
+    if code != 0 or out.read_text() != text + "\n":
+        raise SystemExit(f"simulate failed or wrote other bytes (exit code {code})")
+    sizes = {"pairs": PAIRS, "steps": STEPS, "width": SIDE, "height": SIDE,
+             "transmissions": len(report.transmissions), "report_bytes": len(text) + 1}
+    return sizes, text
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", metavar="LABEL=SRC_DIR",
                     help="a stereosim source directory to time, under a label (repeatable)")
-    ap.add_argument("--rounds", type=int, default=3, help="processes per tree and field")
-    ap.add_argument("--runs", type=int, default=9, help="timed runs per process, after one warm-up")
-    ap.add_argument("--worker", nargs=2, metavar=("FIELD", "RUNS"), help=argparse.SUPPRESS)
+    ap.add_argument("--runs", type=int, default=15, help="timed runs per tree and field, after one warm-up")
     args = ap.parse_args(argv)
-    if args.worker:
-        print(json.dumps(worker(args.worker[0], int(args.worker[1]))))
-        return 0
-    if args.runs < 5 or args.rounds < 1:
-        ap.error("--runs must be >= 5 and --rounds >= 1")
+    if args.runs < 5:
+        ap.error("--runs must be >= 5")
     trees = dict(t.split("=", 1) for t in args.tree or ["current=src"])
+    modules = {label: import_tree(i, (ROOT / src).resolve()) for i, (label, src) in enumerate(trees.items())}
 
-    pooled: dict[tuple[str, str], dict] = {}
-    for r in range(args.rounds):
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "scenario.json", Path(tmp) / "report.json"
         for field in FIELDS:
-            for label in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
-                env = dict(os.environ, PYTHONPATH=str((ROOT / trees[label]).resolve()))
-                done = subprocess.run(
-                    [sys.executable, __file__, "--worker", field, str(args.runs)],
-                    env=env, capture_output=True, text=True, check=True,
-                )
-                result = json.loads(done.stdout)
-                record = pooled.setdefault((label, field), {**result, "samples": {}})
-                for stage, values in result["samples"].items():
-                    record["samples"].setdefault(stage, []).extend(values)
-                print(f"round {r} {field} {label}: run_simulation "
-                      f"{statistics.median(result['samples']['run_simulation']) * 1e3:.1f} ms",
-                      file=sys.stderr)
+            path.write_text(json.dumps(scenario(field)))
+            samples = {label: {} for label in modules}
+            labels, texts = list(modules), {}
+            for run in range(args.runs + 1):
+                for label in labels if run % 2 == 0 else labels[::-1]:
+                    gc.collect()
+                    sizes, texts[label] = simulate(*modules[label], path, out, samples[label] if run else {})
+            if len(set(texts.values())) > 1:
+                raise SystemExit(f"{field}: the trees write different report bytes")
+            first = samples[labels[0]]
+            for label in labels:
+                stages = {}
+                for stage, values in samples[label].items():
+                    q1, median, q3 = statistics.quantiles(values, n=4)
+                    wins = sum(a < b for a, b in zip(values, first[stage]))
+                    stages[stage] = {"median_s": median, "q1_s": q1, "q3_s": q3,
+                                     f"runs_faster_than_{labels[0]}": wins}
+                records.append({
+                    "label": label, "field": field, "sizes": sizes, "runs": args.runs,
+                    "stages": stages, "python": platform.python_version(),
+                    "numpy": numpy.__version__, "cpu_count": os.cpu_count(),
+                })
+                print(f"{field} {label}: " + ", ".join(
+                    f"{stage} {s['median_s'] * 1e3:.2f} ms" for stage, s in stages.items()), file=sys.stderr)
 
+    fresh = {(rec["label"], rec["field"]) for rec in records}
     doc = json.loads(OUT.read_text()) if OUT.exists() else {"records": []}
-    records = [rec for rec in doc["records"] if (rec["label"], rec["field"]) not in pooled]
-    for (label, field), result in pooled.items():
-        stages = {}
-        for stage, values in result["samples"].items():
-            q1, median, q3 = statistics.quantiles(values, n=4)
-            stages[stage] = {"median_s": median, "q1_s": q1, "q3_s": q3}
-        records.append({
-            "label": label, "field": field, "sizes": result["sizes"],
-            "processes": args.rounds, "runs_per_process": args.runs,
-            "stages": stages, "python": result["python"], "numpy": result["numpy"],
-            "cpu_count": result["cpu_count"],
-        })
-    doc["records"] = records
+    doc["records"] = [rec for rec in doc["records"] if (rec["label"], rec["field"]) not in fresh] + records
     OUT.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
