@@ -119,8 +119,6 @@ def _parse_sizes(spec: str) -> list[tuple[int, int]]:
         if w < 1 or h < 1:
             raise ValueError(f"size {token!r} must be at least 1x1")
         sizes.append((w, h))
-    if not sizes:
-        raise ValueError("at least one size is required")
     return sizes
 
 

@@ -162,8 +162,7 @@ def downscale(img: GrayImage, factor: int) -> GrayImage:
     blocks at the right and bottom edges are averaged over the pixels they
     actually cover. Means are rounded half away from zero.
     """
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
-        raise ValueError(f"factor must be a positive integer, got {factor!r}")
+    _require_int("factor", factor, 1)
     if factor == 1:
         return img
     px = img.pixels.astype(np.int64)
@@ -254,22 +253,20 @@ def _strided_window_sums(
     return out[:n]
 
 
-def _window_sums(
-    arr: np.ndarray, side: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Sliding-window sums over all fully-in-bounds side x side windows of a 2-D integer array.
+def _window_sums(x: np.ndarray, w: int, side: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sliding-window sums of side x side windows over x, a flat row-major run of rows w wide.
 
-    The sums are exact whenever arr's dtype holds every window sum. The
-    array is summed as one flat row-major run, down the columns at stride
-    w and then along the rows at stride 1, so every pass is one contiguous
-    numpy operation. A sum whose window wraps past the end of a row is a
-    sum of other pixels, still bounded by the largest window sum, and is
-    left out of the returned view.
+    The sums are exact whenever x's dtype holds every window sum. The run
+    is summed down the columns at stride w and then along the rows at
+    stride 1, so every pass is one contiguous numpy operation. Sum
+    i * w + j is the window whose top-left element is row i, column j; the
+    sums whose window wraps past the end of a row are sums of other
+    elements, still bounded by the largest window sum, and callers skip
+    them.
 
-    Returns the (h - side + 1, w - side + 1) sums as a view into out, whose
-    row i starts at out[i * w]. out, if given, is a 1-D buffer of arr's
-    dtype with at least (h - side + 1) * w elements; scratch, if given,
-    one with at least 2 * h * w.
+    Returns the (x.size // w - side + 1) * w - side + 1 sums as a prefix of
+    out. out is a 1-D buffer of x's dtype with at least that many
+    elements; scratch one with at least 2 * x.size.
 
     There is no switch-over to a summed-area table (Crow 1984), chosen by
     timing both on one 256 KiB int32 band of a 640-wide frame at sides
@@ -279,12 +276,7 @@ def _window_sums(
     at every side (side 7: 0.46 ms against 0.10 ms; side 64: 0.57 ms
     against 0.18 ms; side 181: 0.96 ms against 0.58 ms).
     """
-    h, w = arr.shape
-    if out is None:
-        out = np.empty((h - side + 1) * w, dtype=arr.dtype)
-    if scratch is None:
-        scratch = np.empty(2 * h * w, dtype=arr.dtype)
-    vert, tmp = scratch[: h * w], scratch[h * w : 2 * h * w]
-    vert = _strided_window_sums(arr.reshape(-1), side, w, vert, tmp)
-    _strided_window_sums(vert, side, 1, out, tmp)
-    return out[: vert.size].reshape(-1, w)[:, : w - side + 1]
+    n = x.size
+    tmp = scratch[n : 2 * n]
+    vert = _strided_window_sums(x, side, w, scratch[:n], tmp)
+    return _strided_window_sums(vert, side, 1, out, tmp)

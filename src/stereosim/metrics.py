@@ -143,8 +143,7 @@ def _ssim_band_scores(pa: np.ndarray, pb: np.ndarray, side: int, c1: float, c2: 
         for s, x, y in terms:
             if y is not None:
                 x = np.multiply(x, y, out=prod[:n_in])
-            _window_sums(x.reshape(-1, w), side, out=sums, scratch=scratch)
-            s[...] = sums[:count]
+            s[...] = _window_sums(x, w, side, sums, scratch)
         # var = (s_xx - s_x * s_x / n) / (n - 1), in place of s_xx
         for s_x, s_y, s_xy in ((s_a, s_a, s_aa), (s_b, s_b, s_bb), (s_a, s_b, s_ab)):
             np.multiply(s_x, s_y, out=t)

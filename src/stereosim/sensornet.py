@@ -205,10 +205,14 @@ def _route_table(scenario: Scenario) -> dict[int, tuple[int, ...]]:
     One breadth-first search from the sink, expanding each hop layer in
     ascending id order, reaches every node first from its smallest-id
     neighbour one hop nearer the sink, which is the route's tie-break. The
-    table starts with the sink; a node missing from it has no route.
+    table starts with the sink; a node missing from it has no route. Raises
+    RoutingError unless the scenario has exactly one sink.
     """
+    sinks = [n.id for n in scenario.nodes if n.role == "sink"]
+    if len(sinks) != 1:
+        raise RoutingError(f"exactly one sink required, found {len(sinks)}")
+    sink = sinks[0]
     nodes = {n.id for n in scenario.nodes}
-    sink = next(n.id for n in scenario.nodes if n.role == "sink")
     adjacency: dict[int, set[int]] = {i: set() for i in nodes}
     for a, b in scenario.links:
         if a in nodes and b in nodes:
@@ -232,7 +236,8 @@ def route_to_sink(scenario: Scenario, from_id: int) -> list[int]:
 
     Among equal-length paths the walk always takes the smallest next node
     id, so the route is deterministic. Raises RoutingError when the node is
-    disconnected from the sink.
+    unknown or disconnected from the sink, or the scenario does not have
+    exactly one sink.
     """
     if from_id not in {n.id for n in scenario.nodes}:
         raise RoutingError(f"unknown node {from_id}")
@@ -336,10 +341,11 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             errors.append(f"{where}.id: duplicate node id {node.id}")
         else:
             ids[node.id] = node
-    sinks = [n for n in scenario.nodes if n.role == "sink"]
-    if len(sinks) != 1:
-        errors.append(f"nodes: exactly one sink required, found {len(sinks)}")
-    routes = _route_table(scenario) if len(sinks) == 1 else {}
+    try:
+        routes = _route_table(scenario)
+    except RoutingError as exc:
+        errors.append(f"nodes: {exc}")
+        routes = None
     for i, (a, b) in enumerate(scenario.links):
         if a not in ids or b not in ids:
             errors.append(f"links[{i}]: references unknown node in ({a}, {b})")
@@ -393,8 +399,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 passed.add(checked)
         for finding in pair.match_params.extent_findings(w, h, "frame"):
             errors.append(f"{where}.match: {finding}")
-        if ok_nodes and len(sinks) == 1 and pair.left_node not in routes:
-            errors.append(f"{where}: node {pair.left_node} has no route to sink {sinks[0].id}")
+        if ok_nodes and routes is not None and pair.left_node not in routes:
+            errors.append(f"{where}: node {pair.left_node} has no route to sink {next(iter(routes))}")
     return errors
 
 
@@ -625,8 +631,6 @@ class _Loader:
 
     def get_number(self, where: str, obj: dict, key: str, default=None):
         if key not in obj:
-            if default is None:
-                self.fail(f"{where}.{key}", "required")
             return default
         v = obj[key]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -966,9 +970,9 @@ def _json_objects(objects: list[dict], pad: str) -> list[str]:
     """Non-empty objects with one key set, each as _json_text writes it at pad.
 
     The objects are rendered column by column into one %-template per
-    object. A column renders each distinct exact int, str or all-int tuple
-    once; other values render each time, because 1 == True == 1.0 and
-    (1, 2) == (True, 2) although their tokens differ.
+    object. A column renders each value object once, keyed by id: objects
+    holds every value until the call returns, so an id stands for one
+    value, and 1, True and 1.0 are distinct objects with distinct tokens.
     """
     inner = pad + "  "
     keys = sorted(objects[0])
@@ -978,13 +982,9 @@ def _json_objects(objects: list[dict], pad: str) -> list[str]:
     for k in keys:
         memo, tokens = {}, []
         for value in [obj[k] for obj in objects]:
-            cls = type(value)
-            if cls is int or cls is str or cls is tuple and all(type(v) is int for v in value):
-                token = memo.get(value)
-                if token is None:
-                    token = memo[value] = _json_text(value, inner)
-            else:
-                token = _json_text(value, inner)
+            token = memo.get(id(value))
+            if token is None:
+                token = memo[id(value)] = _json_text(value, inner)
             tokens.append(token)
         columns.append(tokens)
     return [template % row for row in zip(*columns)]

@@ -271,11 +271,10 @@ def compute_disparity(
                     np.multiply(band_diff, band_diff, out=band_diff)
                 else:
                     np.abs(band_diff, out=band_diff)
-                rows = band_diff.reshape(-1, w)
                 if d == 0:
-                    _window_sums(rows, side, out=best, scratch=scratch)
+                    _window_sums(band_diff, w, side, best, scratch)
                     continue
-                _window_sums(rows, side, out=cost, scratch=scratch)
+                _window_sums(band_diff, w, side, cost, scratch)
                 np.less(cost[:n], best[:n], out=improved[:n])
                 # d only grows, so an improved pixel's new winner is the largest d so far
                 np.multiply(improved[:n].view(np.uint8), d_type.type(d), out=step[:n])

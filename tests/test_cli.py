@@ -234,6 +234,14 @@ def test_depth_summary_and_json(tmp_path, capsys):
     assert present and all(v == 100 * 0.5 / 2 for v in present)
 
 
+def test_depth_with_no_available_depth_prints_zero(tmp_path, capsys):
+    sidecar = tmp_path / "d.dsp"
+    # a valid zero disparity is at infinity and an invalid one has no depth
+    sidecar.write_bytes(serialize_disparity(DisparityMap([[0, 3]], [[True, False]], 4)))
+    assert run_cli("depth", str(sidecar), "--focal-length", "100", "--baseline", "0.5") == 0
+    assert capsys.readouterr().out == "available=0\n"
+
+
 @pytest.mark.parametrize(
     "focal, baseline",
     [("inf", "0.5"), ("1e308", "10"), ("1e-200", "1e-200")],
@@ -320,6 +328,15 @@ def test_bench_rejects_too_few_reps(capsys):
 def test_bench_rejects_malformed_sizes(capsys):
     assert run_cli("bench", "--sizes", "16by16") == 2
     assert "WIDTHxHEIGHT" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("64x", "size '64x' must look like WIDTHxHEIGHT"), ("0x8", "size '0x8' must be at least 1x1")],
+)
+def test_bench_rejects_unusable_sizes(capsys, spec, message):
+    assert run_cli("bench", "--sizes", spec) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_writes_report(tmp_path, capsys):
@@ -456,12 +473,20 @@ def _replaced(path, value):
             _replaced(("pairs", 0, "match", "window_radius"), "x"),
             "pairs[0].match.window_radius: must be an integer, got str",
         ),
+        (
+            _replaced(("pairs", 0, "frames"), {"files": []}),
+            "pairs[0].frames.files: must be a non-empty list of [left, right] path pairs",
+        ),
+        (
+            _replaced(("pairs", 0, "frames"), {"files": [["l.pgm"]]}),
+            "pairs[0].frames.files[0]: must be a [left, right] path pair",
+        ),
     ],
     ids=[
         "empty", "non-utf8", "deep-nesting", "huge-steps", "top-level-list", "energy-list",
         "nodes-object", "node-string", "links-object", "link-string", "pairs-object",
         "pair-list", "match-list", "frames-int", "synthetic-string", "shift-object",
-        "negative-seed", "huge-frames", "radius-string",
+        "negative-seed", "huge-frames", "radius-string", "files-empty", "files-one-path",
     ],
 )
 def test_simulate_malformed_scenario_file_exits_two(tmp_path, capsys, build, message):

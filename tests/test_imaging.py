@@ -272,6 +272,11 @@ def test_downscale_rejects_zero_factor():
         downscale(img, 0)
 
 
+def test_downscale_rejects_a_bool_factor():
+    with pytest.raises(ValueError, match="^factor must be an integer, got True$"):
+        downscale(GrayImage([[1]]), True)
+
+
 # window-sum kernel
 
 
@@ -309,6 +314,11 @@ def window_sum_cases(draw):
 @given(window_sum_cases())
 def test_window_sums_match_reference(case):
     arr, side = case
-    sums = imaging._window_sums(arr, side)
+    h, w = arr.shape
+    out = np.empty((h - side + 1) * w, dtype=arr.dtype)
+    scratch = np.empty(2 * h * w, dtype=arr.dtype)
+    sums = imaging._window_sums(arr.reshape(-1), w, side, out, scratch)
     assert sums.dtype == arr.dtype
-    assert sums.tolist() == naive_window_sums(arr.tolist(), side)
+    assert np.shares_memory(sums, out[:1]) and sums.size == out.size - side + 1
+    # sum i * w + j is the window whose top-left pixel is (i, j); the rest wrap a row's end
+    assert out.reshape(-1, w)[:, : w - side + 1].tolist() == naive_window_sums(arr.tolist(), side)

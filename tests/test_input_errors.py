@@ -212,6 +212,16 @@ def test_validation_findings_are_pinned():
     ]
 
 
+def test_duplicate_pair_is_a_finding():
+    frames = shifted_sequence(8, 8, [1], 0)
+    sc = Scenario(
+        nodes=[SensorNode(0, "sink"), SensorNode(1, "camera", 1.0), SensorNode(2, "camera", 1.0)],
+        pairs=[StereoPair(1, 2, MatchParams(1, 2, "sad"), frames)] * 2,
+        links=[(0, 1), (1, 2)],
+    )
+    assert validate_scenario(sc) == ["pairs[1]: duplicate pair (1, 2)"]
+
+
 def test_frame_size_findings_are_pinned():
     good = shifted_sequence(16, 16, [1], 7)[0]
     small = shifted_sequence(16, 12, [1], 7)[0]

@@ -148,6 +148,16 @@ def test_route_disconnected_node_is_an_error():
         route_to_sink(sc, 5)
 
 
+@pytest.mark.parametrize(
+    "sinks, found", [((), 0), ((0, 5), 2)], ids=["no-sink", "two-sinks"]
+)
+def test_route_needs_exactly_one_sink(sinks, found):
+    nodes = [SensorNode(i, "sink" if i in sinks else "relay") for i in (0, 1, 5)]
+    sc = Scenario(nodes=nodes, pairs=[], links=[(1, 5)])
+    with pytest.raises(RoutingError, match=f"^exactly one sink required, found {found}$"):
+        route_to_sink(sc, 1)
+
+
 # ---------------------------------------------------------------------------
 # event detection
 
@@ -899,6 +909,14 @@ def _json_records(draw, values):
 @example([{"t": (1, 2)}, {"t": (True, 2)}, {"t": (1.0, 2)}])
 def test_json_text_writes_what_json_dumps_writes(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError) as refused:
+        json.dumps(np.int64(1))
+    with pytest.raises(TypeError) as info:
+        _json_text(np.int64(1))
+    assert str(info.value) == str(refused.value)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
