@@ -9,7 +9,7 @@ from .imaging import (
     pgm_num_bytes,
     serialize_pgm,
 )
-from .metrics import MetricResult, SsimParams, mse, psnr, ssim
+from .metrics import MetricResult, mse, psnr, ssim
 from .sensornet import (
     DeadNodeError,
     EnergyModel,
@@ -29,7 +29,6 @@ from .sensornet import (
     run_simulation,
     save_report,
     scenario_from_dict,
-    transmission_bytes,
 )
 from .stereo import (
     CostStats,

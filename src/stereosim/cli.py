@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import parse_pgm, serialize_pgm
+from .imaging import _require_int, parse_pgm, serialize_pgm
 from .metrics import psnr, ssim
 from .sensornet import ScenarioError, _report_totals, load_scenario, run_simulation, save_report
 from .stereo import (
@@ -66,8 +66,7 @@ def bench_records(
     the timed repetitions on the monotonic clock. The same seed makes runs
     comparable.
     """
-    if repetitions < 3:
-        raise ValueError(f"repetitions must be >= 3, got {repetitions}")
+    _require_int("repetitions", repetitions, 3)
     records = []
     for method in METHODS:
         for width, height in sizes:

@@ -14,46 +14,14 @@ import numpy as np
 
 from .imaging import GrayImage, _require_int, _require_same_dims, _row_bands, _sum_dtype, _window_sums
 
-__all__ = ["SsimParams", "MetricResult", "mse", "psnr", "ssim"]
+__all__ = ["MetricResult", "mse", "psnr", "ssim"]
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    """SSIM configuration: uniform square windows slid at stride 1.
-
-    C1 = (k1 * dynamic_range) ** 2 and C2 = (k2 * dynamic_range) ** 2
-    stabilize the luminance and contrast terms.
-    """
-
-    window_side: int = 8
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: int = 255
-
-    def __post_init__(self):
-        # the variances are unbiased (divided by n - 1), so one pixel is too few
-        _require_int("window_side", self.window_side, 2)
-        if not (0 < self.k1 < math.inf and 0 < self.k2 < math.inf):
-            raise ValueError(f"k1 and k2 must be finite and positive, got {self.k1}, {self.k2}")
-        if not 1 <= self.dynamic_range < math.inf:
-            raise ValueError(f"dynamic_range must be finite and >= 1, got {self.dynamic_range}")
-        # ssim divides one product of two factors, each at most 2 * 255**2 plus
-        # C1 or C2, by another: the products must be finite, and C1 * C2 nonzero,
-        # or two black windows score 0 / 0
-        try:
-            c1, c2 = self._constants()
-            usable = c1 * c2 > 0 and math.isfinite((2 * 255**2 + c1) * (2 * 255**2 + c2))
-        except OverflowError:
-            usable = False
-        if not usable:
-            raise ValueError(
-                f"k1, k2 and dynamic_range give ssim constants out of range, "
-                f"got {self.k1}, {self.k2}, {self.dynamic_range}"
-            )
-
-    def _constants(self) -> tuple[float, float]:
-        """C1 and C2, the luminance and contrast stabilizers."""
-        return (self.k1 * self.dynamic_range) ** 2, (self.k2 * self.dynamic_range) ** 2
+# The luminance and contrast stabilizers C1 = (K1 * L) ** 2 and
+# C2 = (K2 * L) ** 2 of Wang et al. (IEEE TIP 2004): K1 = 0.01, K2 = 0.03
+# and the dynamic range L = 255 of 8-bit pixels.
+_C1 = (0.01 * 255) ** 2
+_C2 = (0.03 * 255) ** 2
 
 
 @dataclass(frozen=True)
@@ -88,31 +56,28 @@ def psnr(a: GrayImage, b: GrayImage) -> MetricResult:
     return MetricResult(10.0 * math.log10(255.0 * 255.0 / m))
 
 
-def ssim(a: GrayImage, b: GrayImage, params: SsimParams | None = None) -> MetricResult:
+def ssim(a: GrayImage, b: GrayImage, window_side: int = 8) -> MetricResult:
     """Mean structural similarity over all fully-in-bounds sliding windows.
 
-    Per window: ((2*mu_a*mu_b + C1) * (2*cov + C2)) /
+    The windows are uniform squares window_side pixels wide, slid at stride
+    1. Per window: ((2*mu_a*mu_b + C1) * (2*cov + C2)) /
     ((mu_a^2 + mu_b^2 + C1) * (var_a + var_b + C2)), with variances and the
-    covariance using the unbiased n-1 denominator. The window means use
-    exact integer sums, and the per-window scores are totaled with an
-    order-independent exact float sum, so results are deterministic.
+    covariance using the unbiased n-1 denominator, so window_side must be at
+    least 2. The window means use exact integer sums, and the per-window
+    scores are totaled with an order-independent exact float sum, so results
+    are deterministic.
     """
-    if params is None:
-        params = SsimParams()
+    _require_int("window_side", window_side, 2)
     _require_same_dims(a, b, "a", "b")
-    side = params.window_side
+    side = window_side
     if a.width < side or a.height < side:
-        raise ValueError(
-            f"image {a.width}x{a.height} is smaller than the {side}x{side} ssim window"
-        )
-
-    c1, c2 = params._constants()
-    scores = _ssim_band_scores(a.pixels, b.pixels, side, c1, c2)
+        raise ValueError(f"image {a.width}x{a.height} is smaller than the {side}x{side} ssim window")
+    scores = _ssim_band_scores(a.pixels, b.pixels, side)
     windows = (a.height - side + 1) * (a.width - side + 1)
     return MetricResult(math.fsum(itertools.chain.from_iterable(scores)) / windows)
 
 
-def _ssim_band_scores(pa: np.ndarray, pb: np.ndarray, side: int, c1: float, c2: float):
+def _ssim_band_scores(pa: np.ndarray, pb: np.ndarray, side: int):
     """Yield the per-window ssim scores as one list per row of windows, in row-major order.
 
     The five window sums are exact integers in the narrowest type that holds
@@ -153,20 +118,20 @@ def _ssim_band_scores(pa: np.ndarray, pb: np.ndarray, side: int, c1: float, c2: 
         mu_a, mu_b, var_a, var_b, cov = s_a, s_b, s_aa, s_bb, s_ab
         mu_a /= n
         mu_b /= n
-        # num = (2 * mu_a * mu_b + c1) * (2 * cov + c2), in t
+        # num = (2 * mu_a * mu_b + C1) * (2 * cov + C2), in t
         np.multiply(mu_a, 2.0, out=t)
         t *= mu_b
-        t += c1
+        t += _C1
         cov *= 2.0
-        cov += c2
+        cov += _C2
         t *= cov
-        # den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2), in mu_a
+        # den = (mu_a * mu_a + mu_b * mu_b + C1) * (var_a + var_b + C2), in mu_a
         mu_a *= mu_a
         mu_b *= mu_b
         mu_a += mu_b
-        mu_a += c1
+        mu_a += _C1
         var_a += var_b
-        var_a += c2
+        var_a += _C2
         mu_a *= var_a
         t /= mu_a
         yield from f[5, : (y1 - y0) * w].reshape(-1, w)[:, : w - side + 1].tolist()

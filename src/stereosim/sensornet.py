@@ -33,7 +33,7 @@ __all__ = [
     "ROLES", "POLICIES", "EnergyModel", "SensorNode", "StereoPair", "Scenario",
     "ScenarioError", "RoutingError", "DeadNodeError",
     "EventRecord", "TransmissionRecord", "DropRecord", "NodeReport", "PairReport", "SimReport",
-    "route_to_sink", "detect_event", "transmission_bytes", "charge_processing",
+    "route_to_sink", "detect_event", "charge_processing",
     "charge_transmission", "run_simulation", "network_lifetime", "validate_scenario",
     "scenario_from_dict", "load_scenario", "report_to_dict", "save_report",
 ]
@@ -278,23 +278,6 @@ def detect_event(
     return change > threshold, change
 
 
-def transmission_bytes(payload) -> int:
-    """Byte count of a canonical payload.
-
-    A DisparityMap costs its exact sidecar, 16 header bytes plus 3 per
-    pixel; a (left, right) frame pair costs both canonical PGM encodings.
-    """
-    if isinstance(payload, DisparityMap):
-        return sidecar_num_bytes(payload.width, payload.height)
-    if (
-        isinstance(payload, (tuple, list))
-        and len(payload) == 2
-        and all(isinstance(p, GrayImage) for p in payload)
-    ):
-        return pgm_num_bytes(payload[0]) + pgm_num_bytes(payload[1])
-    raise TypeError("payload must be a DisparityMap or a (left, right) GrayImage pair")
-
-
 def _draw(node: SensorNode, cost: float) -> float:
     """Take cost from the battery, flooring it at zero; returns the energy drawn."""
     drawn = cost if node.battery >= cost else node.battery
@@ -426,8 +409,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
     Perception is pure, so equal (left frame, right frame, match params)
     inputs are matched once: a result is reused while some pair's most
     recent step used it. Within a step, pairs whose previous and current
-    inputs are equal share one event decision. Every executed pair-step
-    still pays its energy and counts its nominal elementary_ops.
+    maps are the same two objects share one event decision. Every executed
+    pair-step still pays its energy and counts its nominal elementary_ops.
     """
     errors = validate_scenario(scenario)
     if errors:
@@ -451,15 +434,15 @@ def run_simulation(scenario: Scenario) -> SimReport:
             max_disparity=pair.match_params.max_disparity,
             elementary_ops=0,
             sidecar_bytes=sidecar_num_bytes(w, h),
-            raw_pair_bytes=transmission_bytes(pair.frames[0]),
+            raw_pair_bytes=2 * pgm_num_bytes(pair.frames[0][0]),
         )
         plans.append((pair, (pair.left_node, pair.right_node), (pair.right_node, pair.left_node), pr))
 
     events: list[EventRecord] = []
     transmissions: list[TransmissionRecord] = []
     drops: list[DropRecord] = []
-    # each pair's latest perception input and map, the event detector's prev
-    last: dict[tuple[int, int], tuple[tuple, DisparityMap]] = {}
+    # each pair's latest map, the event detector's prev
+    last: dict[tuple[int, int], DisparityMap] = {}
     perceived: dict[tuple, tuple[DisparityMap, int, int]] = {}
     steps = max((len(p.frames) for p in scenario.pairs), default=0)
 
@@ -492,7 +475,10 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     for step in range(1, steps + 1):
         used = {}
-        changes: dict[tuple, tuple[bool, float]] = {}
+        # keyed by (id(prev map), id(map)). Batteries only fall and schedules
+        # only end, so a pair that runs at this step ran at the last one:
+        # perceived and used hold every map named here until the step ends.
+        changes: dict[tuple[int, int], tuple[bool, float]] = {}
         for pair, key, hop, pr in plans:
             if step > len(pair.frames):
                 continue
@@ -520,16 +506,15 @@ def run_simulation(scenario: Scenario) -> SimReport:
             pr.rle_bytes_min = rle_nbytes if pr.rle_bytes_min is None else min(pr.rle_bytes_min, rle_nbytes)
             pr.rle_bytes_max = rle_nbytes if pr.rle_bytes_max is None else max(pr.rle_bytes_max, rle_nbytes)
 
-            prev_inputs, prev_map = last.get(key, (None, None))
-            event = changes.get((prev_inputs, inputs))
+            prev_map = last.get(key)
+            maps = (id(prev_map), id(dmap))
+            event = changes.get(maps)
             if event is None:
-                event = changes[prev_inputs, inputs] = detect_event(
-                    prev_map, dmap, scenario.event_threshold
-                )
+                event = changes[maps] = detect_event(prev_map, dmap, scenario.event_threshold)
             triggered, change = event
             if triggered:
                 events.append(EventRecord(step, key, change))
-            last[key] = (inputs, dmap)
+            last[key] = dmap
 
             if scenario.policy == "raw_always":
                 transmit(step, key, routes[left.id], pr.raw_pair_bytes, "raw_pair")

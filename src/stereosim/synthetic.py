@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .imaging import GrayImage
+from .imaging import GrayImage, _require_int
 
 __all__ = ["texture", "shifted_pair", "shifted_sequence"]
 
 
 def texture(width: int, height: int, seed: int) -> GrayImage:
     """Uniform random 8-bit texture from a fixed-seed generator."""
-    if width < 1 or height < 1:
-        raise ValueError(f"texture dimensions must be at least 1x1, got {width}x{height}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _require_int("width", width, 1)
+    _require_int("height", height, 1)
+    _require_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     try:
         pixels = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
@@ -41,8 +40,7 @@ def shifted_sequence(
     if not shifts:
         raise ValueError("shifts must name at least one step")
     for s in shifts:
-        if s < 0:
-            raise ValueError(f"shifts must be >= 0, got {s}")
+        _require_int("shifts", s, 0)
         if s >= width:
             raise ValueError(f"shift {s} must be smaller than frame width {width}")
     master = texture(width + max(shifts), height, seed).pixels

@@ -128,6 +128,15 @@ def test_negative_seed_exits_two_in_stereosim_words(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_generate_zero_height_names_the_height_typed(tmp_path, capsys):
+    # the texture is --shift pixels wider than the frame; its width used to be named
+    assert run_cli("generate", "--width", "64", "--height", "0", "--out", str(tmp_path / "g")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: height must be >= 1, got 0\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_disparity_identical_inputs_render_zero(tmp_path, capsys):
     img = texture(24, 24, seed=4)
     p = tmp_path / "same.pgm"

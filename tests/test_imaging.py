@@ -201,6 +201,8 @@ def test_equal_images_hash_equal_and_the_hash_is_cached():
     assert first == hash(b) == hash(a) == hash(a)
     assert first == hash(((2, 3), a.pixels.tobytes()))  # the value hash, kept
     assert GrayImage([[1, 2, 3], [4, 5, 7]]) != a
+    assert a.__eq__(a.pixels) is NotImplemented
+    assert a != "image"
     with pytest.raises(AttributeError):
         a._hash = 1
     assert hash(a) == first
@@ -215,12 +217,22 @@ def test_shifted_sequence_builds_one_right_frame_per_distinct_shift():
     for (lf, rf), s in zip(frames, [1, 3, 1, 0, 3]):
         assert np.array_equal(lf.pixels, master[:, :12])
         assert np.array_equal(rf.pixels, master[:, s : s + 12])
+    with pytest.raises(ValueError, match="^shifts must name at least one step$"):
+        shifted_sequence(12, 6, [], seed=2)
 
 
 def test_texture_rejects_a_negative_seed_in_its_own_words():
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         texture(4, 4, seed=-1)
     assert texture(4, 4, seed=0) == texture(4, 4, seed=0)
+
+
+def test_synthetic_frames_refuse_a_bool_seed_or_shift():
+    # True used to pass as seed 1 and as shift 1
+    with pytest.raises(ValueError, match="^seed must be an integer, got True$"):
+        texture(4, 4, seed=True)
+    with pytest.raises(ValueError, match="^shifts must be an integer, got True$"):
+        shifted_sequence(8, 8, [True], 0)
 
 
 def test_downscale_factor_one_is_identity():

@@ -225,14 +225,19 @@ def test_duplicate_pair_is_a_finding():
 def test_frame_size_findings_are_pinned():
     good = shifted_sequence(16, 16, [1], 7)[0]
     small = shifted_sequence(16, 12, [1], 7)[0]
+    cameras = [SensorNode(i, "camera", 1.0) for i in (1, 2, 3)]
     sc = Scenario(
-        nodes=[SensorNode(0, "sink"), SensorNode(1, "camera", 1.0), SensorNode(2, "camera", 1.0)],
-        pairs=[StereoPair(1, 2, MatchParams(1, 4, "sad"), [good, (good[0], small[1]), small])],
-        links=[(0, 1), (1, 2)],
+        nodes=[SensorNode(0, "sink"), *cameras],
+        pairs=[
+            StereoPair(1, 2, MatchParams(1, 4, "sad"), [good, (good[0], small[1]), small]),
+            StereoPair(1, 3, MatchParams(1, 4, "sad"), []),
+        ],
+        links=[(0, 1), (1, 2), (1, 3)],
     )
     expected = [
         "pairs[0].frames[1]: left is 16x16 but right is 16x12",
         "pairs[0].frames[2]: 16x12 differs from step 0 (16x16)",
+        "pairs[1].frames: at least one step is required",
     ]
     assert validate_scenario(sc) == expected
     with pytest.raises(ScenarioError) as info:

@@ -33,7 +33,6 @@ from stereosim import (
     serialize_pgm,
     shifted_sequence,
     texture,
-    transmission_bytes,
 )
 
 from stereosim.sensornet import POLICIES, EventRecord, _json_text
@@ -146,6 +145,8 @@ def test_route_disconnected_node_is_an_error():
     )
     with pytest.raises(RoutingError, match="node 5"):
         route_to_sink(sc, 5)
+    with pytest.raises(RoutingError, match="^unknown node 9$"):
+        route_to_sink(sc, 9)
 
 
 @pytest.mark.parametrize(
@@ -222,25 +223,7 @@ def test_detect_event_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# payload sizes and energy charges
-
-
-def test_transmission_bytes_sidecar():
-    dmap = _map(np.zeros((64, 64), int), np.ones((64, 64), bool), 4)
-    assert transmission_bytes(dmap) == 16 + 3 * 4096 == 12304
-
-
-def test_transmission_bytes_raw_pair():
-    a = texture(64, 64, 0)
-    b = texture(64, 64, 1)
-    header = len(b"P5\n64 64\n255\n")
-    assert transmission_bytes((a, b)) == 2 * (header + 4096)
-    assert transmission_bytes((a, b)) == pgm_num_bytes(a) + pgm_num_bytes(b)
-
-
-def test_transmission_bytes_rejects_other_payloads():
-    with pytest.raises(TypeError):
-        transmission_bytes(42)
+# energy charges
 
 
 def test_processing_charge_per_64kb():
@@ -333,7 +316,7 @@ def test_raw_always_depletion_at_step_three():
     # processing drains a sliver more, so the third transmission is fatal
     frames = shifted_sequence(32, 32, [1, 1, 1, 1, 1], 5)
     model = EnergyModel()
-    raw_pair = transmission_bytes(frames[0])
+    raw_pair = 2 * pgm_num_bytes(frames[0][0])
     battery = 3 * model.tx_cost(raw_pair)
     sc = make_line_scenario(policy="raw_always", shifts=(1, 1, 1, 1, 1), left_battery=battery)
     report = run_simulation(sc)
@@ -479,7 +462,7 @@ def test_policy_dominance_when_rle_is_smaller():
 def test_doubling_batteries_never_shortens_lifetime():
     frames = shifted_sequence(32, 32, [1] * 6, 5)
     model = EnergyModel()
-    battery = 2.5 * model.tx_cost(transmission_bytes(frames[0]))
+    battery = 2.5 * model.tx_cost(2 * pgm_num_bytes(frames[0][0]))
     small = make_line_scenario(policy="raw_always", shifts=(1,) * 6, left_battery=battery)
     large = make_line_scenario(policy="raw_always", shifts=(1,) * 6, left_battery=2 * battery)
     first = run_simulation(small).lifetime

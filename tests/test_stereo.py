@@ -134,6 +134,10 @@ def test_cost_sum_dtype_thresholds():
     assert _agg_dtype("ssd", 1) == np.int32
     assert _agg_dtype("ssd", 181) == np.int32
     assert _agg_dtype("ssd", 183) == np.int64
+    # 255^2 * side^2 crosses int64 at side 11,909,806
+    assert _agg_dtype("ssd", 11_909_805) == np.int64
+    with pytest.raises(ValueError, match="^window side 11909806 overflows 64-bit cost sums$"):
+        _agg_dtype("ssd", 11_909_806)
 
 
 def test_wide_window_sad_matches_reference():
@@ -381,6 +385,19 @@ def test_disparity_map_validation():
         DisparityMap([[1]], [[True, False]], 2)
     with pytest.raises(ValueError, match=r"\[0, 2\]"):
         DisparityMap([[3]], [[True]], 2)
+    with pytest.raises(ValueError, match="^disparities must form a non-empty 2-D raster$"):
+        DisparityMap([1, 2], [True, True], 2)
+    with pytest.raises(ValueError, match="^disparities must be integers, got dtype float64$"):
+        DisparityMap([[1.5]], [[True]], 2)
+
+
+def test_disparity_map_is_immutable_and_equal_only_to_maps():
+    dmap = DisparityMap([[1, 2]], [[True, False]], 2)
+    with pytest.raises(AttributeError, match="^DisparityMap is immutable$"):
+        dmap.max_disparity = 3
+    assert dmap == DisparityMap([[1, 2]], [[True, False]], 2)
+    assert dmap.__eq__(dmap.disparities) is NotImplemented
+    assert dmap != "map"
 
 
 @pytest.mark.parametrize(
