@@ -41,17 +41,58 @@ def test_shared_frames_report_matches_golden_fixture(tmp_path):
     assert out.read_bytes() == (GOLDEN / "shared_frames.report.json").read_bytes()
 
 
-def test_simulate_summary_matches_golden_totals(tmp_path, capsys):
-    scenario = GOLDEN / "disparity_on_event.scenario.json"
-    assert main(["simulate", str(scenario), "--out", str(tmp_path / "report.json")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    totals = json.loads((GOLDEN / "disparity_on_event.report.json").read_text())["totals"]
-    assert f"processing_total_uj={totals['processing_uj']}" in lines
-    assert f"transmission_total_uj={totals['transmission_uj']}" in lines
-    assert (
-        f"events={totals['events']} transmissions={totals['transmissions']} "
-        f"drops={totals['drops']}"
-    ) in lines
+# A field in which every node survives and one pair never runs: its left
+# camera starts with an empty battery, so its RLE sizes stay null.
+IDLE_PAIR_FIELD = {
+    "seed": 5,
+    "policy": "disparity_always",
+    "nodes": [{"id": 0, "role": "sink"}]
+    + [{"id": i, "role": "camera", "battery": 0 if i == 3 else 1e9} for i in (1, 2, 3, 4)],
+    "links": [[0, 1], [1, 2], [0, 3], [3, 4]],
+    "pairs": [
+        {
+            "left": left,
+            "right": left + 1,
+            "match": {"window_radius": 1, "max_disparity": 4},
+            "frames": {"synthetic": {"width": 16, "height": 16, "steps": 3, "shift_per_step": 1}},
+        }
+        for left in (1, 3)
+    ],
+}
+
+
+def _summary_lines(out: Path) -> list[str]:
+    """The lines simulate prints, built from the report file it wrote at out."""
+    doc = json.loads(out.read_text())
+    t = doc["totals"]
+    return [
+        f"wrote {out}",
+        f"lifetime={doc['lifetime']}",
+        f"processing_total_uj={t['processing_uj']}",
+        f"transmission_total_uj={t['transmission_uj']}",
+        f"events={t['events']} transmissions={t['transmissions']} drops={t['drops']}",
+    ] + [
+        f"pair {p['left']}-{p['right']}: raw_pair_bytes={p['raw_pair_bytes']} "
+        f"sidecar_bytes={p['sidecar_bytes']} rle_bytes_min={p['rle_bytes_min']} "
+        f"rle_bytes_max={p['rle_bytes_max']}"
+        for p in doc["pairs"]
+    ]
+
+
+@pytest.mark.parametrize("name", [*POLICIES, "shared_frames", "idle_pair"])
+def test_simulate_prints_lines_built_from_its_report(name, tmp_path, capsys):
+    if name == "idle_pair":
+        scenario = tmp_path / "idle_pair.scenario.json"
+        scenario.write_text(json.dumps(IDLE_PAIR_FIELD))
+    else:
+        scenario = GOLDEN / f"{name}.scenario.json"
+    out = tmp_path / "report.json"
+    assert main(["simulate", str(scenario), "--out", str(out)]) == 0
+    lines = _summary_lines(out)
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+    if name == "idle_pair":
+        assert "lifetime=survived" in lines
+        assert lines[-1].endswith("rle_bytes_min=None rle_bytes_max=None")
 
 
 def test_depth_json_matches_golden_fixture(tmp_path, capsys):
