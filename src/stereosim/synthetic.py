@@ -39,6 +39,7 @@ def shifted_sequence(
     """
     if not shifts:
         raise ValueError("shifts must name at least one step")
+    _require_int("width", width, 1)
     for s in shifts:
         _require_int("shifts", s, 0)
         if s >= width:
@@ -51,4 +52,5 @@ def shifted_sequence(
 
 def shifted_pair(width: int, height: int, shift: int, seed: int) -> tuple[GrayImage, GrayImage]:
     """Single stereo pair with a uniform exact shift."""
+    _require_int("shift", shift, 0)
     return shifted_sequence(width, height, [shift], seed)[0]

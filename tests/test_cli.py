@@ -137,6 +137,33 @@ def test_generate_zero_height_names_the_height_typed(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_generate_zero_width_names_the_width(tmp_path, capsys):
+    # the default --shift 2 used to be checked against the zero width first
+    assert run_cli("generate", "--width", "0", "--height", "8", "--out", str(tmp_path / "g")) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: width must be >= 1, got 0\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--width", "8", "--height", "8", "--shift", "-1", "--out", "{dir}/g"],
+        ["bench", "--sizes", "16x16", "--radius", "1", "--max-disparity", "4", "--reps", "3",
+         "--shift", "-1"],
+    ],
+    ids=["generate", "bench"],
+)
+def test_negative_shift_is_named_as_the_flag(tmp_path, capsys, argv):
+    # one shift, as --shift names it; a scenario's shift_per_step keeps "shifts"
+    assert run_cli(*[arg.format(dir=tmp_path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: shift must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_disparity_identical_inputs_render_zero(tmp_path, capsys):
     img = texture(24, 24, seed=4)
     p = tmp_path / "same.pgm"
