@@ -564,6 +564,19 @@ def _type_name(value) -> str:
     return type(value).__name__
 
 
+# JSON value kinds. true and false are Python ints, but a scenario never takes them as numbers
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value, kind) -> bool:  # [a, b]: a two-item list whose items both pass kind
+    return isinstance(value, list) and len(value) == 2 and all(map(kind, value))
+
+
 def _finite_float(value: int | float) -> float | None:
     """The number as a float, or None when it is not finite.
 
@@ -606,7 +619,7 @@ class _Loader:
                 self.fail(f"{where}.{key}", "required")
             return default
         v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             self.fail(f"{where}.{key}", f"must be an integer, got {_type_name(v)}")
             return None
         if minimum is not None and v < minimum:
@@ -618,7 +631,7 @@ class _Loader:
         if key not in obj:
             return default
         v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             self.fail(f"{where}.{key}", f"must be a number, got {_type_name(v)}")
             return None
         number = _finite_float(v)
@@ -639,12 +652,7 @@ class _Loader:
         # position is checked but not stored: nothing in the simulation reads it
         if "position" in obj:
             p = obj["position"]
-            if not (
-                isinstance(p, list)
-                and len(p) == 2
-                and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in p)
-                and None not in map(_finite_float, p)
-            ):
+            if not (_is_pair(p, _is_number) and None not in map(_finite_float, p)):
                 self.fail(f"{where}.position", "must be a [x, y] pair of finite numbers")
         if nid is None or role is None or battery is None:
             return None
@@ -700,11 +708,7 @@ class _Loader:
             return None
         frames = []
         for t, entry in enumerate(entries):
-            if not (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(p, str) for p in entry)
-            ):
+            if not _is_pair(entry, lambda side: isinstance(side, str)):
                 self.fail(f"{where}[{t}]", "must be a [left, right] path pair")
                 return None
             sides = []
@@ -733,7 +737,7 @@ class _Loader:
         seed = self.get_int(where, obj, "seed", default=scenario_seed, minimum=0)
         raw = obj.get("shift_per_step", 0)
         if isinstance(raw, list):
-            if not raw or not all(isinstance(s, int) and not isinstance(s, bool) for s in raw):
+            if not raw or not all(map(_is_int, raw)):
                 self.fail(f"{where}.shift_per_step", "must be a non-empty list of integers")
                 return None
             shifts = raw
@@ -744,7 +748,7 @@ class _Loader:
                     f"disagrees with shift_per_step length ({steps} vs {len(shifts)})",
                 )
                 return None
-        elif isinstance(raw, int) and not isinstance(raw, bool):
+        elif _is_int(raw):
             steps = self.get_int(where, obj, "steps", minimum=1)
             try:
                 shifts = None if steps is None else [raw] * steps
@@ -828,11 +832,7 @@ def scenario_from_dict(data: dict, base_dir: Path | str | None = None) -> Scenar
         loader.fail("$.links", f"must be a list, got {_type_name(raw_links)}")
     else:
         for i, obj in enumerate(raw_links):
-            if (
-                isinstance(obj, list)
-                and len(obj) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in obj)
-            ):
+            if _is_pair(obj, _is_int):
                 links.append((obj[0], obj[1]))
             else:
                 loader.fail(f"links[{i}]", "must be an [a, b] node id pair")

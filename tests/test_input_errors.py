@@ -178,6 +178,22 @@ def test_scenario_from_dict_raises_only_scenario_error(doc):
         assert not any(phrase in e for phrase in _FOREIGN_WORDING), e
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("nodes", 1, "position"), [0.0, 10.0, 1.0],
+         "nodes[1].position: must be a [x, y] pair of finite numbers"),
+        (("links", 0), [0, 1, 2], "links[0]: must be an [a, b] node id pair"),
+        (("pairs", 0, "frames"), {"files": [["l.pgm", "r.pgm", "x.pgm"]]},
+         "pairs[0].frames.files[0]: must be a [left, right] path pair"),
+    ],
+    ids=["position", "link", "files-entry"],
+)
+def test_a_pair_of_three_items_is_a_finding(path, value, message):
+    # the corpus sets no value to a three-item list
+    assert findings(_mutated(BASE, path, value)) == [message]
+
+
 def test_validation_findings_are_pinned():
     frames = shifted_sequence(8, 8, [1], 0)
     sc = Scenario(
