@@ -14,14 +14,14 @@ import json
 import statistics
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .imaging import _require_int, parse_pgm, serialize_pgm
 from .metrics import psnr, ssim
-from .sensornet import ScenarioError, _report_totals, load_scenario, run_simulation, save_report
+from .sensornet import ScenarioError, load_scenario, report_summary, run_simulation, save_report
 from .stereo import (
     METHODS,
     DepthMap,
@@ -108,12 +108,9 @@ def _parse_sizes(spec: str) -> list[tuple[int, int]]:
     sizes = []
     for token in spec.split(","):
         token = token.strip()
-        parts = token.lower().split("x")
-        if len(parts) != 2:
-            raise ValueError(f"size {token!r} must look like WIDTHxHEIGHT")
         try:
-            w, h = int(parts[0]), int(parts[1])
-        except ValueError:
+            w, h = map(int, token.lower().split("x"))
+        except ValueError:  # not two parts, or a part that is not an integer
             raise ValueError(f"size {token!r} must look like WIDTHxHEIGHT") from None
         if w < 1 or h < 1:
             raise ValueError(f"size {token!r} must be at least 1x1")
@@ -201,11 +198,12 @@ def cmd_metrics(args) -> int:
     b = _read(args.b, parse_pgm)
     s = ssim(a, b)
     p = psnr(a, b)
+    shown_psnr = "inf" if p.infinite else p.value
     if args.json:
-        print(json.dumps({"ssim": s.value, "psnr": "inf" if p.infinite else p.value}))
+        print(json.dumps({"ssim": s.value, "psnr": shown_psnr}))
     else:
         print(f"ssim={s.value}")
-        print(f"psnr={'inf' if p.infinite else p.value}")
+        print(f"psnr={shown_psnr}")
     return 0
 
 
@@ -215,11 +213,8 @@ def cmd_bench(args) -> int:
         sizes, args.radius, args.max_disparity, args.reps, args.seed, shift=args.shift
     )
     print("method,width,height,radius,max_disparity,reps,median_seconds,elementary_ops")
-    for r in records:
-        print(
-            f"{r.method},{r.width},{r.height},{r.window_radius},{r.max_disparity},"
-            f"{r.repetitions},{r.median_seconds},{r.elementary_ops}"
-        )
+    for r in records:  # the columns are BenchRecord's fields, in order
+        print(",".join(map(str, astuple(r))))
     return 0
 
 
@@ -228,14 +223,12 @@ def cmd_simulate(args) -> int:
     report = run_simulation(scenario)
     save_report(report, args.out)
     print(f"wrote {args.out}")
-    totals = _report_totals(report)
-    print(f"lifetime={'survived' if report.lifetime is None else report.lifetime}")
+    summary = report_summary(report)
+    totals = summary["totals"]
+    print(f"lifetime={summary['lifetime']}")
     print(f"processing_total_uj={totals['processing_uj']}")
     print(f"transmission_total_uj={totals['transmission_uj']}")
-    print(
-        f"events={totals['events']} transmissions={totals['transmissions']} "
-        f"drops={totals['drops']}"
-    )
+    print(" ".join(f"{k}={totals[k]}" for k in ("events", "transmissions", "drops")))
     for p in report.pairs:
         print(
             f"pair {p.left}-{p.right}: raw_pair_bytes={p.raw_pair_bytes} "
@@ -263,9 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disparity", help="compute a disparity map from two PGM files")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--radius", type=int, default=3, help="support window radius")
-    p.add_argument("--max-disparity", type=int, default=64)
-    p.add_argument("--method", choices=METHODS, default="sad")
+    p.add_argument(
+        "--radius", type=int, default=MatchParams.window_radius, help="support window radius"
+    )
+    p.add_argument("--max-disparity", type=int, default=MatchParams.max_disparity)
+    p.add_argument("--method", choices=METHODS, default=MatchParams.method)
     p.add_argument("--out", required=True, help="output prefix for .pgm and .dsp")
     p.set_defaults(func=cmd_disparity)
 
@@ -284,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="timing sweep over resolutions, CSV on stdout")
     p.add_argument("--sizes", default="128x128,256x256,512x512", help="comma-separated WxH list")
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--max-disparity", type=int, default=64)
+    p.add_argument("--radius", type=int, default=MatchParams.window_radius)
+    p.add_argument("--max-disparity", type=int, default=MatchParams.max_disparity)
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shift", type=int, default=None, help="pair disparity, defaults to a small value")

@@ -35,7 +35,7 @@ __all__ = [
     "EventRecord", "TransmissionRecord", "DropRecord", "NodeReport", "PairReport", "SimReport",
     "route_to_sink", "detect_event", "charge_processing",
     "charge_transmission", "run_simulation", "network_lifetime", "validate_scenario",
-    "scenario_from_dict", "load_scenario", "report_to_dict", "save_report",
+    "scenario_from_dict", "load_scenario", "report_summary", "report_to_dict", "save_report",
 ]
 
 ROLES = ("camera", "relay", "sink")
@@ -872,16 +872,19 @@ def load_scenario(path: Path | str) -> Scenario:
     return scenario_from_dict(data, base_dir=path.parent)
 
 
-def _report_totals(report: SimReport) -> dict:
-    """Run-wide sums of the node ledgers and counts of the event records."""
+def report_summary(report: SimReport) -> dict:
+    """The lifetime and totals entries of report_to_dict, which simulate also prints."""
     return {
-        "processing_uj": sum(n.processing_uj for n in report.nodes),
-        "transmission_uj": sum(n.transmission_uj for n in report.nodes),
-        "bytes_transmitted": sum(n.bytes_transmitted for n in report.nodes),
-        "elementary_ops": report.total_elementary_ops,
-        "events": len(report.events),
-        "transmissions": len(report.transmissions),
-        "drops": len(report.drops),
+        "lifetime": "survived" if report.lifetime is None else report.lifetime,
+        "totals": {
+            "processing_uj": sum(n.processing_uj for n in report.nodes),
+            "transmission_uj": sum(n.transmission_uj for n in report.nodes),
+            "bytes_transmitted": sum(n.bytes_transmitted for n in report.nodes),
+            "elementary_ops": report.total_elementary_ops,
+            "events": len(report.events),
+            "transmissions": len(report.transmissions),
+            "drops": len(report.drops),
+        },
     }
 
 
@@ -897,8 +900,7 @@ def report_to_dict(report: SimReport) -> dict:
         "steps": report.steps,
         "event_threshold": report.event_threshold,
         "seed": report.seed,
-        "lifetime": "survived" if report.lifetime is None else report.lifetime,
-        "totals": _report_totals(report),
+        **report_summary(report),
     }
     for name in ("nodes", "pairs", "events", "transmissions", "drops"):
         doc[name] = [dict(vars(record)) for record in getattr(report, name)]

@@ -368,7 +368,11 @@ def test_bench_rejects_malformed_sizes(capsys):
 
 @pytest.mark.parametrize(
     "spec, message",
-    [("64x", "size '64x' must look like WIDTHxHEIGHT"), ("0x8", "size '0x8' must be at least 1x1")],
+    [
+        ("64x", "size '64x' must look like WIDTHxHEIGHT"),
+        ("8x8x8", "size '8x8x8' must look like WIDTHxHEIGHT"),
+        ("0x8", "size '0x8' must be at least 1x1"),
+    ],
 )
 def test_bench_rejects_unusable_sizes(capsys, spec, message):
     assert run_cli("bench", "--sizes", spec) == 2
