@@ -41,23 +41,27 @@ def test_shared_frames_report_matches_golden_fixture(tmp_path):
     assert out.read_bytes() == (GOLDEN / "shared_frames.report.json").read_bytes()
 
 
-# A field in which every node survives and one pair never runs: its left
-# camera starts with an empty battery, so its RLE sizes stay null.
-IDLE_PAIR_FIELD = {
-    "seed": 5,
-    "policy": "disparity_always",
-    "nodes": [{"id": 0, "role": "sink"}]
-    + [{"id": i, "role": "camera", "battery": 0 if i == 3 else 1e9} for i in (1, 2, 3, 4)],
-    "links": [[0, 1], [1, 2], [0, 3], [3, 4]],
-    "pairs": [
-        {
-            "left": left,
-            "right": left + 1,
-            "match": {"window_radius": 1, "max_disparity": 4},
-            "frames": {"synthetic": {"width": 16, "height": 16, "steps": 3, "shift_per_step": 1}},
-        }
-        for left in (1, 3)
-    ],
+# Two built fields of two pairs: in "survived" no node dies; in "idle_pair"
+# camera 3 starts with an empty battery, so pair 3-4 never runs and its RLE
+# sizes stay null.
+BUILT_FIELDS = {
+    name: {
+        "seed": 5,
+        "policy": "disparity_always",
+        "nodes": [{"id": 0, "role": "sink"}]
+        + [{"id": i, "role": "camera", "battery": 0 if i == idle else 1e9} for i in (1, 2, 3, 4)],
+        "links": [[0, 1], [1, 2], [0, 3], [3, 4]],
+        "pairs": [
+            {
+                "left": left,
+                "right": left + 1,
+                "match": {"window_radius": 1, "max_disparity": 4},
+                "frames": {"synthetic": {"width": 16, "height": 16, "steps": 3, "shift_per_step": 1}},
+            }
+            for left in (1, 3)
+        ],
+    }
+    for name, idle in (("survived", None), ("idle_pair", 3))
 }
 
 
@@ -79,19 +83,20 @@ def _summary_lines(out: Path) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("name", [*POLICIES, "shared_frames", "idle_pair"])
+@pytest.mark.parametrize("name", [*POLICIES, "shared_frames", *BUILT_FIELDS])
 def test_simulate_prints_lines_built_from_its_report(name, tmp_path, capsys):
-    if name == "idle_pair":
-        scenario = tmp_path / "idle_pair.scenario.json"
-        scenario.write_text(json.dumps(IDLE_PAIR_FIELD))
+    if name in BUILT_FIELDS:
+        scenario = tmp_path / f"{name}.scenario.json"
+        scenario.write_text(json.dumps(BUILT_FIELDS[name]))
     else:
         scenario = GOLDEN / f"{name}.scenario.json"
     out = tmp_path / "report.json"
     assert main(["simulate", str(scenario), "--out", str(out)]) == 0
     lines = _summary_lines(out)
     assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+    if name == "survived":
+        assert lines[1] == "lifetime=survived"
     if name == "idle_pair":
-        assert "lifetime=survived" in lines
         assert lines[-1].endswith("rle_bytes_min=None rle_bytes_max=None")
 
 
