@@ -573,7 +573,8 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_pair(value, kind) -> bool:  # [a, b]: a two-item list whose items both pass kind
+def _is_pair(value, kind) -> bool:
+    """[a, b]: a two-item list whose items both pass the predicate kind."""
     return isinstance(value, list) and len(value) == 2 and all(map(kind, value))
 
 
