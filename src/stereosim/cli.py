@@ -14,7 +14,9 @@ import json
 import statistics
 import sys
 import traceback
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -155,19 +157,23 @@ def cmd_depth(args) -> int:
     else:
         print("available=0")
     if args.out:
-        Path(args.out).write_text(_depth_json(dmap, depth) + "\n")
+        parts = _depth_json(dmap, depth)  # raises, if at all, before the file is opened
+        with open(args.out, "w") as f:
+            f.writelines(parts)
         print(f"wrote {args.out}")
     return 0
 
 
-def _depth_json(dmap: DisparityMap, depth: DepthMap) -> str:
-    """The depth document, byte-identical to json.dumps of the dict with keys
-    width, height, focal_length, baseline and depths_m (row-major, null where
-    no depth is available).
+def _depth_json(dmap: DisparityMap, depth: DepthMap) -> Iterator[str]:
+    """The depth document and a newline, in row-sized parts that join to
+    json.dumps of the dict with keys width, height, focal_length, baseline
+    and depths_m (row-major, null where no depth is available).
 
     disparity_to_depth makes depth a function of the disparity, so each of
     the at most max_disparity + 1 distinct depths is rendered once, as a
-    JSON token, and one index over the map picks every pixel's token.
+    JSON token, and one index over the map picks every pixel's token. Every
+    token is built, and every error raised, before this returns; the parts
+    only join a row's tokens, so the whole document is never one string.
     """
     header = json.dumps(
         {
@@ -190,7 +196,12 @@ def _depth_json(dmap: DisparityMap, depth: DepthMap) -> str:
     entry_bits = by_disparity[dmap.disparities].view(np.uint64)
     odd = avail & (entry_bits != depth.depths.view(np.uint64))
     picked[odd] = [json.dumps(v) for v in depth.depths[odd].tolist()]
-    return f'{header[:-1]}, "depths_m": [{", ".join(picked.ravel().tolist())}]}}'
+    first, *rest = picked.tolist()
+    return chain(
+        (f'{header[:-1]}, "depths_m": [', ", ".join(first)),
+        (f", {', '.join(row)}" for row in rest),
+        ("]}\n",),
+    )
 
 
 def cmd_metrics(args) -> int:

@@ -255,9 +255,12 @@ def detect_event(
     The change is the mean absolute disparity difference over pixels valid
     in both maps (0 when none are). Triggers when change > threshold; the
     first frame of a sequence, prev None, always triggers with change 0.
+    A map compared with itself differs by 0 without a diff.
     """
     if prev is None:
         return True, 0.0
+    if prev is curr:
+        return 0.0 > threshold, 0.0
     if (prev.width, prev.height) != (curr.width, curr.height):
         raise ValueError(
             f"map dimensions differ: {prev.width}x{prev.height} vs {curr.width}x{curr.height}"
@@ -419,7 +422,12 @@ def run_simulation(scenario: Scenario) -> SimReport:
     model = scenario.energy
 
     nodes = {n.id: replace(n) for n in scenario.nodes}
-    reports = {n.id: NodeReport(n.id, n.role, n.battery, n.battery) for n in scenario.nodes}
+    # a camera or relay with an empty battery is dead before step 1
+    reports = {
+        n.id: NodeReport(n.id, n.role, n.battery, n.battery,
+                         died_at_step=None if n.alive or n.role == "sink" else 0)
+        for n in scenario.nodes
+    }
     # per pair, in step order: the pair, its key, its intra-pair hop and its
     # report, each one object for the whole run. Every frame of a pair has the
     # step-0 size (validated), so its byte counts are per-run constants.
@@ -543,7 +551,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
 
 def network_lifetime(report: SimReport) -> int | None:
-    """First step at which any camera or relay battery reached zero.
+    """First step at which any camera or relay battery reached zero, 0 for
+    one that was empty before step 1.
 
     The sink is mains-powered and excluded. Returns None when every
     battery-powered node survived the whole run.

@@ -100,6 +100,9 @@ class DisparityMap:
 
     def __init__(self, disparities, valid, max_disparity: int):
         _require_int("max_disparity", max_disparity, 0)
+        limit = np.iinfo(np.int32).max  # disparities are stored as int32
+        if max_disparity > limit:
+            raise ValueError(f"max_disparity must be <= {limit}, got {max_disparity}")
         d = np.asarray(disparities)
         v = np.asarray(valid)
         if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:

@@ -221,7 +221,8 @@ def naive_run_simulation(scenario):
             "transmission_uj": 0.0,
             "bytes_transmitted": 0,
             "deficit_uj": 0.0,
-            "died_at_step": None,
+            # a camera or relay that starts empty is dead before step 1
+            "died_at_step": 0 if n.role != "sink" and n.battery <= 0.0 else None,
         }
         for n in scenario.nodes
     }

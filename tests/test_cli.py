@@ -287,13 +287,39 @@ def test_depth_non_finite_scale_exits_two_and_writes_nothing(tmp_path, capsys, f
     sidecar = tmp_path / "d.dsp"
     sidecar.write_bytes(serialize_disparity(DisparityMap([[0, 3]], [[True, True]], 4)))
     out = tmp_path / "depth.json"
-    code = run_cli("depth", str(sidecar), "--focal-length", focal, "--baseline", baseline,
-                   "--out", str(out))
-    assert code == 2
+    argv = ["depth", str(sidecar), "--focal-length", focal, "--baseline", baseline, "--out", str(out)]
+    assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "finite" in captured.err
     assert not out.exists()
+    # a file already at --out keeps its bytes
+    out.write_bytes(b"earlier bytes\n")
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b"earlier bytes\n"
+
+
+@pytest.mark.parametrize(
+    "disparities, valid",
+    [
+        ([[3]], [[True]]),
+        ([[3, 0, 7, 7, 1]], [[True, True, True, False, True]]),
+        ([[3], [0], [7], [7], [1]], [[True], [True], [True], [False], [True]]),
+        ([[2, 5], [0, 5], [1, 1]], [[False, False], [False, False], [False, False]]),
+    ],
+    ids=["one-pixel", "one-row", "one-column", "all-null"],
+)
+def test_depth_out_file_is_the_per_pixel_writers_document(tmp_path, capsys, disparities, valid):
+    dmap = DisparityMap(disparities, valid, 7)
+    sidecar, out = tmp_path / "d.dsp", tmp_path / "depth.json"
+    sidecar.write_bytes(serialize_disparity(dmap))
+    code = run_cli("depth", str(sidecar), "--focal-length", "100", "--baseline", "0.5",
+                   "--out", str(out))
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+    depth = disparity_to_depth(dmap, 100.0, 0.5)
+    assert out.read_text() == naive_depth_json(dmap, depth) + "\n"
 
 
 @st.composite
@@ -321,7 +347,7 @@ def test_depth_json_matches_per_pixel_writer(case, overrides):
     for i, value in overrides:
         depths.flat[i % depths.size] = value
     depth = DepthMap(depths, depth.available, depth.focal_length, depth.baseline)
-    assert _depth_json(dmap, depth) == naive_depth_json(dmap, depth)
+    assert "".join(_depth_json(dmap, depth)) == naive_depth_json(dmap, depth) + "\n"
 
 
 def test_bench_csv_shape(tmp_path, capsys):

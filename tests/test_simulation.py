@@ -173,6 +173,20 @@ def test_detect_event_no_change():
     assert (triggered, change) == (False, 0.0)
 
 
+@pytest.mark.parametrize(
+    "disp, valid",
+    [([[1, 2], [0, 4]], [[True, False], [True, True]]), ([[3, 3]], [[False, False]])],
+    ids=["some-valid", "none-valid"],
+)
+@pytest.mark.parametrize("threshold", [-1.0, -0.0, 0.0, 0.5])
+def test_detect_event_on_one_map_twice_equals_the_diff_of_an_equal_copy(disp, valid, threshold):
+    m = _map(disp, valid, 4)
+    copy = _map(m.disparities, m.valid, m.max_disparity)
+    assert copy is not m
+    assert detect_event(m, m, threshold) == detect_event(m, copy, threshold)
+    assert detect_event(m, m, threshold) == (threshold < 0, 0.0)
+
+
 def test_detect_event_constant_difference():
     a = _map([[1, 1]], [[True, True]], 8)
     b = _map([[4, 4]], [[True, True]], 8)
@@ -342,6 +356,26 @@ def test_dead_nodes_never_act_after_death():
     assert right.transmission_uj == 2 * intra  # nothing drawn after death
     assert all(t.step <= 2 for t in report.transmissions if t.path[0] == 2)
     assert all(d.node == 2 for d in report.drops)
+
+
+@pytest.mark.parametrize("empty", [2, 3], ids=["camera", "relay"])
+def test_a_node_empty_at_deployment_is_dead_from_step_zero(empty):
+    frames = shifted_sequence(16, 16, [1, 1], 7)
+    sc = Scenario(
+        nodes=_nodes(
+            (0, "sink", 0.0),
+            *((i, "camera" if i < 3 else "relay", 0.0 if i == empty else 1e9) for i in (1, 2, 3)),
+        ),
+        pairs=[StereoPair(1, 2, MatchParams(1, 4, "sad"), frames)],
+        links=[(0, 3), (3, 1), (1, 2)],
+        policy="disparity_always",
+    )
+    report = run_simulation(sc)
+    assert [n.died_at_step for n in report.nodes] == [None if n.id != empty else 0 for n in sc.nodes]
+    assert report.lifetime == 0
+    assert report_to_dict(report)["lifetime"] == 0
+    reason = "camera-dead" if empty == 2 else "relay-dead"
+    assert [(d.step, d.reason, d.node) for d in report.drops] == [(1, reason, empty), (2, reason, empty)]
 
 
 def test_energy_conservation_exact():
@@ -782,13 +816,14 @@ def test_a_pgm_path_that_fails_is_reported_at_each_entry(tmp_path):
 def small_scenarios(draw):
     """Random small fields for every policy.
 
-    Batteries are low enough that cameras and relays die mid-run. Two relays
-    and the left cameras carry several pairs' traffic, over routes with
-    equal-length alternatives. Schedules differ in length. A pair holds its
-    own frames, shares another pair's frames and match spec, or joins them
-    after first steps of its own, so equal inputs follow unequal ones.
+    Batteries are low enough that cameras and relays die mid-run, or are
+    empty from the start. Two relays and the left cameras carry several
+    pairs' traffic, over routes with equal-length alternatives. Schedules
+    differ in length. A pair holds its own frames, shares another pair's
+    frames and match spec, or joins them after first steps of its own, so
+    equal inputs follow unequal ones.
     """
-    battery = st.sampled_from([1e-6, 0.5, 3.0, 20.0, 1e9])
+    battery = st.sampled_from([0.0, 1e-6, 0.5, 3.0, 20.0, 1e9])
     nodes = [SensorNode(0, "sink"), SensorNode(1, "relay", draw(battery)), SensorNode(2, "relay", draw(battery))]
     links = [(0, 1)] + [(hub, 2) for hub in draw(st.lists(st.sampled_from([0, 1]), min_size=1, unique=True))]
     width, height = draw(st.integers(8, 12)), draw(st.integers(4, 8))

@@ -416,6 +416,18 @@ def test_disparity_map_requires_an_integer_max_disparity(max_disparity, message)
     assert DisparityMap([[3]], [[True]], np.int64(3)).max_disparity == 3
 
 
+def test_disparity_map_refuses_a_max_disparity_beyond_its_int32_storage():
+    top = 2**31 - 1
+    dmap = DisparityMap([[top, 1]], [[True, True]], top)
+    assert dmap.disparities.tolist() == [[top, 1]]
+    assert dmap.max_disparity == top
+    # 3_000_000_000 used to be stored as -1294967296
+    with pytest.raises(ValueError, match=f"^max_disparity must be <= {top}, got {2**31}$"):
+        DisparityMap([[2**31, 1]], [[True, True]], 2**31)
+    with pytest.raises(ValueError, match="max_disparity"):
+        DisparityMap([[3_000_000_000, 1]], [[True, True]], 4_000_000_000)
+
+
 # ---------------------------------------------------------------------------
 # codec properties
 
