@@ -4,7 +4,6 @@ camera sensor network simulator with a file-based CLI."""
 from .imaging import (
     GrayImage,
     PgmParseError,
-    downscale,
     parse_pgm,
     pgm_num_bytes,
     serialize_pgm,

@@ -10,6 +10,7 @@ error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import statistics
 import sys
@@ -249,7 +250,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main() reuses it."""
     parser = argparse.ArgumentParser(
         prog="stereosim",
         description="Stereo block matching, image metrics, and sensor network simulation.",
@@ -262,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=int, default=2, help="exact disparity of the pair")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix for _left.pgm and _right.pgm")
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("disparity", help="compute a disparity map from two PGM files")
     p.add_argument("left")
@@ -273,20 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-disparity", type=int, default=MatchParams.max_disparity)
     p.add_argument("--method", choices=METHODS, default=MatchParams.method)
     p.add_argument("--out", required=True, help="output prefix for .pgm and .dsp")
-    p.set_defaults(func=cmd_disparity)
 
     p = sub.add_parser("depth", help="triangulate depth from a disparity sidecar")
     p.add_argument("sidecar", help=".dsp file written by the disparity command")
     p.add_argument("--focal-length", type=float, required=True, help="pixels")
     p.add_argument("--baseline", type=float, required=True, help="meters")
     p.add_argument("--out", help="optional JSON output path")
-    p.set_defaults(func=cmd_depth)
 
     p = sub.add_parser("metrics", help="SSIM and PSNR between two PGM files")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("bench", help="timing sweep over resolutions, CSV on stdout")
     p.add_argument("--sizes", default="128x128,256x256,512x512", help="comma-separated WxH list")
@@ -295,20 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--shift", type=int, default=None, help="pair disparity, defaults to a small value")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("simulate", help="run a scenario file and write the report")
     p.add_argument("scenario", help="scenario JSON path")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at each call, so a wrapper later set on a cmd_* function runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ScenarioError as exc:
         print("error: scenario validation failed:", file=sys.stderr)
         for e in exc.errors:

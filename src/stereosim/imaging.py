@@ -12,7 +12,6 @@ __all__ = [
     "parse_pgm",
     "serialize_pgm",
     "pgm_num_bytes",
-    "downscale",
 ]
 
 class PgmParseError(ValueError):
@@ -63,8 +62,6 @@ class GrayImage:
         raise AttributeError("GrayImage is immutable")
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if not isinstance(other, GrayImage):
             return NotImplemented
         return self._pixels.shape == other._pixels.shape and bool(
@@ -153,28 +150,6 @@ def serialize_pgm(img: GrayImage) -> bytes:
 def pgm_num_bytes(img: GrayImage) -> int:
     """Size in bytes of the canonical PGM encoding, without materializing it."""
     return len(_pgm_header(img.width, img.height)) + img.width * img.height
-
-
-def downscale(img: GrayImage, factor: int) -> GrayImage:
-    """Reduce resolution by averaging factor x factor blocks.
-
-    Output dimensions are ceil(width/factor) x ceil(height/factor); partial
-    blocks at the right and bottom edges are averaged over the pixels they
-    actually cover. Means are rounded half away from zero.
-    """
-    _require_int("factor", factor, 1)
-    if factor == 1:
-        return img
-    px = img.pixels.astype(np.int64)
-    rows = np.arange(0, img.height, factor)
-    cols = np.arange(0, img.width, factor)
-    sums = np.add.reduceat(np.add.reduceat(px, rows, axis=0), cols, axis=1)
-    row_counts = np.minimum(rows + factor, img.height) - rows
-    col_counts = np.minimum(cols + factor, img.width) - cols
-    counts = row_counts[:, None] * col_counts[None, :]
-    # exact round-half-away-from-zero for non-negative integer means
-    out = (2 * sums + counts) // (2 * counts)
-    return GrayImage(out)
 
 
 def _require_int(name: str, value, minimum: int):

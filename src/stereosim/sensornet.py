@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,15 +132,13 @@ class Scenario:
     energy: EnergyModel = field(default_factory=EnergyModel)
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     step: int
     pair: tuple[int, int]
     change: float
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
+class TransmissionRecord(NamedTuple):
     step: int
     pair: tuple[int, int]
     payload: str  # raw_frame | disparity_rle | raw_pair
@@ -145,8 +146,7 @@ class TransmissionRecord:
     path: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DropRecord:
+class DropRecord(NamedTuple):
     step: int
     pair: tuple[int, int]
     reason: str  # camera-dead | origin-dead | relay-dead
@@ -411,15 +411,15 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     Perception is pure, so equal (left frame, right frame, match params)
     inputs are matched once: a result is reused while some pair's most
-    recent step used it. Within a step, pairs whose previous and current
-    maps are the same two objects share one event decision. Every executed
-    pair-step still pays its energy and counts its nominal elementary_ops.
+    recent step used it. Every executed pair-step still pays its energy and
+    counts its nominal elementary_ops.
     """
     errors = validate_scenario(scenario)
     if errors:
         raise ScenarioError(errors)
     routes = _route_table(scenario)
     model = scenario.energy
+    policy, threshold = scenario.policy, scenario.event_threshold
 
     nodes = {n.id: replace(n) for n in scenario.nodes}
     # a camera or relay with an empty battery is dead before step 1
@@ -428,10 +428,12 @@ def run_simulation(scenario: Scenario) -> SimReport:
                          died_at_step=None if n.alive or n.role == "sink" else 0)
         for n in scenario.nodes
     }
-    # per pair, in step order: the pair, its key, its intra-pair hop and its
-    # report, each one object for the whole run. Every frame of a pair has the
-    # step-0 size (validated), so its byte counts are per-run constants.
-    plans = []
+    # Per pair, in step order, each one object or value for the whole run: its
+    # frames, match params, key, report, cameras and their reports, intra-pair
+    # hop (right to left) with the bytes and radio cost of the frame it carries,
+    # and the left camera's processing cost. Every frame of a pair has the
+    # step-0 size (validated), so byte counts and costs are per-run constants.
+    plans, pair_reports = [], []
     for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
         pr = PairReport(
@@ -444,7 +446,15 @@ def run_simulation(scenario: Scenario) -> SimReport:
             sidecar_bytes=sidecar_num_bytes(w, h),
             raw_pair_bytes=2 * pgm_num_bytes(pair.frames[0][0]),
         )
-        plans.append((pair, (pair.left_node, pair.right_node), (pair.right_node, pair.left_node), pr))
+        pair_reports.append(pr)
+        frame_bytes = pr.raw_pair_bytes // 2  # both frames weigh the same
+        plans.append((
+            pair.frames, pair.match_params, (pair.left_node, pair.right_node), pr,
+            nodes[pair.left_node], reports[pair.left_node],
+            nodes[pair.right_node], reports[pair.right_node],
+            (pair.right_node, pair.left_node), frame_bytes, model.tx_cost(frame_bytes),
+            model.cpu_cost(pr.raw_pair_bytes + pr.sidecar_bytes),
+        ))
 
     events: list[EventRecord] = []
     transmissions: list[TransmissionRecord] = []
@@ -454,17 +464,25 @@ def run_simulation(scenario: Scenario) -> SimReport:
     perceived: dict[tuple, tuple[DisparityMap, int, int]] = {}
     steps = max((len(p.frames) for p in scenario.pairs), default=0)
 
-    def book(node: SensorNode, step: int, cost: float, drawn: float) -> NodeReport:
-        """Record a charge's deficit and any death it caused; returns the node's report."""
-        rep = reports[node.id]
+    def book(node: SensorNode, rep: NodeReport, step: int, cost: float, drawn: float) -> NodeReport:
+        """Record a charge's deficit and any death it caused; returns rep, the node's report."""
         rep.deficit_uj += cost - drawn
-        if not node.alive and rep.died_at_step is None:
+        if rep.died_at_step is None and not node.alive:
             rep.died_at_step = step
         return rep
+
+    def carry(step, key, kind, nbytes, path_ids, cost, charged):
+        """Book a delivered payload: each (node, report, drawn) transmitter's charge, then its record."""
+        for node, rep, drawn in charged:
+            book(node, rep, step, cost, drawn)
+            rep.transmission_uj += drawn
+            rep.bytes_transmitted += nbytes
+        transmissions.append(TransmissionRecord(step, key, kind, nbytes, path_ids))
 
     paths: dict[tuple[int, ...], list[SensorNode]] = {}
 
     def transmit(step, key, path_ids, nbytes, kind):
+        """Send a payload along a route to the sink, or record its drop at the first dead transmitter."""
         path = paths.get(path_ids)
         if path is None:
             path = paths[path_ids] = [nodes[i] for i in path_ids]
@@ -474,59 +492,47 @@ def run_simulation(scenario: Scenario) -> SimReport:
             reason = "origin-dead" if exc.node_id == path_ids[0] else "relay-dead"
             drops.append(DropRecord(step, key, reason, exc.node_id, kind, nbytes))
             return
-        cost = model.tx_cost(nbytes)
-        for node, drawn in charged:
-            rep = book(node, step, cost, drawn)
-            rep.transmission_uj += drawn
-            rep.bytes_transmitted += nbytes
-        transmissions.append(TransmissionRecord(step, key, kind, nbytes, path_ids))
+        charged = [(node, reports[node.id], drawn) for node, drawn in charged]
+        carry(step, key, kind, nbytes, path_ids, model.tx_cost(nbytes), charged)
 
     for step in range(1, steps + 1):
         used = {}
-        # keyed by (id(prev map), id(map)). Batteries only fall and schedules
-        # only end, so a pair that runs at this step ran at the last one:
-        # perceived and used hold every map named here until the step ends.
-        changes: dict[tuple[int, int], tuple[bool, float]] = {}
-        for pair, key, hop, pr in plans:
-            if step > len(pair.frames):
+        for (frames, params, key, pr, left, left_rep, right, right_rep,
+             hop, frame_bytes, hop_cost, cpu_cost) in plans:
+            if step > len(frames):
                 continue
-            left = nodes[pair.left_node]
-            right = nodes[pair.right_node]
             if not left.alive or not right.alive:
                 dead = left.id if not left.alive else right.id
                 drops.append(DropRecord(step, key, "camera-dead", dead, None, 0))
                 continue
-            lf, rf = pair.frames[step - 1]
-            # partner frame crosses the intra-pair link so the left node can
-            # match; both frames weigh the same
-            transmit(step, key, hop, pr.raw_pair_bytes // 2, "raw_frame")
+            # the partner frame crosses the intra-pair link so the left node
+            # can match; the right camera is alive, so it is never dropped
+            carry(step, key, "raw_frame", frame_bytes, hop, hop_cost,
+                  ((right, right_rep, _draw(right, hop_cost)),))
 
-            workload = pr.raw_pair_bytes + pr.sidecar_bytes
-            drawn = charge_processing(left, workload, model)
-            book(left, step, model.cpu_cost(workload), drawn).processing_uj += drawn
+            drawn = _draw(left, cpu_cost)
+            book(left, left_rep, step, cpu_cost, drawn).processing_uj += drawn
 
-            inputs = (lf, rf, pair.match_params)
+            lf, rf = frames[step - 1]
+            inputs = (lf, rf, params)
             result = used.get(inputs)
             if result is None:
                 result = used[inputs] = perceived.get(inputs) or _perceive(*inputs)
             dmap, ops, rle_nbytes = result
             pr.elementary_ops += ops
-            pr.rle_bytes_min = rle_nbytes if pr.rle_bytes_min is None else min(pr.rle_bytes_min, rle_nbytes)
-            pr.rle_bytes_max = rle_nbytes if pr.rle_bytes_max is None else max(pr.rle_bytes_max, rle_nbytes)
+            prev = last.get(key)
+            if dmap is not prev:  # a map keeps its RLE size, so only a new map moves the range
+                last[key] = dmap
+                pr.rle_bytes_min = rle_nbytes if pr.rle_bytes_min is None else min(pr.rle_bytes_min, rle_nbytes)
+                pr.rle_bytes_max = rle_nbytes if pr.rle_bytes_max is None else max(pr.rle_bytes_max, rle_nbytes)
 
-            prev_map = last.get(key)
-            maps = (id(prev_map), id(dmap))
-            event = changes.get(maps)
-            if event is None:
-                event = changes[maps] = detect_event(prev_map, dmap, scenario.event_threshold)
-            triggered, change = event
+            triggered, change = detect_event(prev, dmap, threshold)
             if triggered:
                 events.append(EventRecord(step, key, change))
-            last[key] = dmap
 
-            if scenario.policy == "raw_always":
+            if policy == "raw_always":
                 transmit(step, key, routes[left.id], pr.raw_pair_bytes, "raw_pair")
-            elif triggered or scenario.policy == "disparity_always":
+            elif triggered or policy == "disparity_always":
                 transmit(step, key, routes[left.id], rle_nbytes, "disparity_rle")
         perceived = used
 
@@ -539,11 +545,11 @@ def run_simulation(scenario: Scenario) -> SimReport:
         event_threshold=scenario.event_threshold,
         seed=scenario.seed,
         nodes=[reports[nid] for nid in sorted(reports)],
-        pairs=[pr for *_, pr in plans],
+        pairs=pair_reports,
         events=events,
         transmissions=transmissions,
         drops=drops,
-        total_elementary_ops=sum(pr.elementary_ops for *_, pr in plans),
+        total_elementary_ops=sum(pr.elementary_ops for pr in pair_reports),
         lifetime=None,
     )
     report.lifetime = network_lifetime(report)
@@ -898,22 +904,32 @@ def report_summary(report: SimReport) -> dict:
     }
 
 
-def report_to_dict(report: SimReport) -> dict:
-    """JSON-ready form of a report; key names are the stable interface.
-
-    Every record becomes a dict of its fields, whose names are the JSON
-    keys; tuples such as `pair` and `path` serialise as JSON arrays.
-    """
-    doc = {
+def _report_doc(report: SimReport) -> dict:
+    """The report document, its event, transmission and drop lists holding the records themselves."""
+    return {
         "schema": "stereosim-report-v1",
         "policy": report.policy,
         "steps": report.steps,
         "event_threshold": report.event_threshold,
         "seed": report.seed,
         **report_summary(report),
+        "nodes": [dict(vars(n)) for n in report.nodes],
+        "pairs": [dict(vars(p)) for p in report.pairs],
+        "events": report.events,
+        "transmissions": report.transmissions,
+        "drops": report.drops,
     }
-    for name in ("nodes", "pairs", "events", "transmissions", "drops"):
-        doc[name] = [dict(vars(record)) for record in getattr(report, name)]
+
+
+def report_to_dict(report: SimReport) -> dict:
+    """JSON-ready form of a report; key names are the stable interface.
+
+    Every record becomes a dict of its fields, whose names are the JSON
+    keys; tuples such as `pair` and `path` serialise as JSON arrays.
+    """
+    doc = _report_doc(report)
+    for name in ("events", "transmissions", "drops"):
+        doc[name] = [record._asdict() for record in doc[name]]
     return doc
 
 
@@ -937,25 +953,30 @@ _SCALAR_TOKENS = {
 def _json_text(value, pad: str = "") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False) writes it at pad.
 
-    value is JSON-ready, with string keys. A list of objects that share one
-    key set, such as a report's record lists, renders column by column.
+    value is JSON-ready, with string keys, except that a list of named
+    tuples of one class, such as a report's record lists, renders as the
+    list of their _asdict() would. Such a list, and a list of objects that
+    share one key set, renders column by column.
     """
     token = _SCALAR_TOKENS.get(type(value))
     if token is not None:
         return token(value)
     if isinstance(value, dict):
-        return _json_objects([value], pad)[0] if value else "{}"
+        return _json_objects({k: (v,) for k, v in value.items()}, pad)[0] if value else "{}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
         first = value[0]
-        if isinstance(first, dict) and first and all(
+        fields = getattr(type(first), "_fields", None)
+        if fields and len(set(map(type, value))) == 1:
+            items = _json_objects(dict(zip(fields, zip(*value))), inner)
+        elif isinstance(first, dict) and first and all(
             isinstance(v, dict) and v.keys() == first.keys() for v in value
         ):
-            items = _json_objects(value, inner)
+            items = _json_objects({k: [obj[k] for obj in value] for k in first}, inner)
         else:
-            items = [_json_text(v, inner) for v in value]
+            items = _json_column(value, inner)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     for cls in (str, int, float):  # a subclass, such as numpy.float64, encodes as its base
         if isinstance(value, cls):
@@ -963,28 +984,35 @@ def _json_text(value, pad: str = "") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_objects(objects: list[dict], pad: str) -> list[str]:
-    """Non-empty objects with one key set, each as _json_text writes it at pad.
+def _json_objects(columns: dict[str, Sequence], pad: str) -> list[str]:
+    """The objects whose values under each key are columns[key], each as _json_text writes it at pad.
 
-    The objects are rendered column by column into one %-template per
-    object. A column renders each value object once, keyed by id: objects
-    holds every value until the call returns, so an id stands for one
-    value, and 1, True and 1.0 are distinct objects with distinct tokens.
+    Every column is non-empty and equally long. Each object is one join of
+    its tokens with the text between them, which is the same for every
+    object.
     """
     inner = pad + "  "
-    keys = sorted(objects[0])
-    labels = [f"{inner}{encode_basestring_ascii(k)}".replace("%", "%%") + ": %s" for k in keys]
-    template = "{\n" + ",\n".join(labels) + "\n" + pad + "}"
-    columns = []
-    for k in keys:
-        memo, tokens = {}, []
-        for value in [obj[k] for obj in objects]:
-            token = memo.get(id(value))
-            if token is None:
-                token = memo[id(value)] = _json_text(value, inner)
-            tokens.append(token)
-        columns.append(tokens)
-    return [template % row for row in zip(*columns)]
+    parts = []
+    for n, k in enumerate(sorted(columns)):
+        parts.append(repeat(("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(k) + ": "))
+        parts.append(_json_column(columns[k], inner))
+    parts.append(repeat("\n" + pad + "}"))
+    return list(map("".join, zip(*parts)))
+
+
+def _json_column(values: Sequence, pad: str) -> Iterator[str]:
+    """Each of values as _json_text writes it at pad.
+
+    Exact ints (not bools) render in one pass. Otherwise each value object
+    renders once, keyed by id: values holds every value until the tokens are
+    read, so an id stands for one value, and 1, True and 1.0 are distinct
+    objects with distinct tokens.
+    """
+    if set(map(type, values)) == {int}:
+        return map(int.__repr__, values)
+    distinct = dict(zip(map(id, values), values))
+    memo = {i: _json_text(value, pad) for i, value in distinct.items()}
+    return map(memo.__getitem__, map(id, values))
 
 
 def save_report(report: SimReport, path: Path | str):
@@ -992,7 +1020,8 @@ def save_report(report: SimReport, path: Path | str):
 
     The bytes equal json.dumps(report_to_dict(report), indent=2,
     sort_keys=True, allow_nan=False) plus a newline; a non-finite number
-    raises ValueError and writes nothing.
+    raises ValueError and writes nothing. The record lists are rendered
+    from the records themselves, without a dict per record.
     """
-    text = _json_text(report_to_dict(report)) + "\n"
+    text = _json_text(_report_doc(report)) + "\n"
     Path(path).write_text(text)

@@ -6,7 +6,6 @@ shared code with the implementation under test.
 
 import json
 import math
-from fractions import Fraction
 
 
 def naive_window_cost(left_px, right_px, x, y, d, radius, method):
@@ -112,27 +111,6 @@ def naive_window_sums(px, side):
         ]
         for y in range(len(px) - side + 1)
     ]
-
-
-def naive_downscale(px, factor):
-    """Block means with exact rational arithmetic, rounded half away from zero."""
-    h = len(px)
-    w = len(px[0])
-    oh = (h + factor - 1) // factor
-    ow = (w + factor - 1) // factor
-    out = []
-    for by in range(oh):
-        row = []
-        for bx in range(ow):
-            vals = [
-                px[y][x]
-                for y in range(by * factor, min((by + 1) * factor, h))
-                for x in range(bx * factor, min((bx + 1) * factor, w))
-            ]
-            mean = Fraction(sum(vals), len(vals))
-            row.append(int(mean + Fraction(1, 2)) if mean >= 0 else None)
-        out.append(row)
-    return out
 
 
 def naive_mean_abs_change(prev_disp, prev_valid, curr_disp, curr_valid):

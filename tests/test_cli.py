@@ -300,6 +300,36 @@ def test_depth_non_finite_scale_exits_two_and_writes_nothing(tmp_path, capsys, f
     assert out.read_bytes() == b"earlier bytes\n"
 
 
+def test_calls_that_share_one_parser_stay_independent(tmp_path, capsys):
+    sidecar = tmp_path / "d.dsp"
+    sidecar.write_bytes(serialize_disparity(DisparityMap([[0, 3]], [[True, True]], 4)))
+    out = tmp_path / "depth.json"
+    argv = ["depth", str(sidecar), "--focal-length", "100", "--baseline", "0.5"]
+    assert run_cli(*argv, "--out", str(out)) == 0
+    out.unlink()
+    capsys.readouterr()
+    # the second call keeps no --out from the first
+    assert run_cli(*argv) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("available=1 ") and "wrote" not in printed
+    assert list(tmp_path.iterdir()) == [sidecar]
+
+
+def test_a_wrapper_set_on_a_command_after_the_parser_is_built_runs(tmp_path, monkeypatch):
+    import stereosim.cli as cli_mod
+
+    left, right = write_pair(tmp_path)  # builds the parser first
+    calls = []
+
+    def wrapped(args):
+        calls.append(args.command)
+        return 0
+
+    monkeypatch.setattr(cli_mod, "cmd_metrics", wrapped)
+    assert run_cli("metrics", str(left), str(right)) == 0
+    assert calls == ["metrics"]
+
+
 @pytest.mark.parametrize(
     "disparities, valid",
     [

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stereosim import (
     GrayImage,
     PgmParseError,
-    downscale,
     parse_pgm,
     pgm_num_bytes,
     serialize_pgm,
@@ -18,7 +17,7 @@ from stereosim import (
 )
 from stereosim import imaging
 
-from oracles import naive_downscale, naive_window_sums
+from oracles import naive_window_sums
 
 
 def test_parse_minimal():
@@ -233,60 +232,6 @@ def test_synthetic_frames_refuse_a_bool_seed_or_shift():
         texture(4, 4, seed=True)
     with pytest.raises(ValueError, match="^shifts must be an integer, got True$"):
         shifted_sequence(8, 8, [True], 0)
-
-
-def test_downscale_factor_one_is_identity():
-    img = GrayImage([[10, 20], [30, 40]])
-    assert downscale(img, 1) == img
-
-
-def test_downscale_full_block_mean():
-    img = GrayImage([[10, 20], [30, 40]])
-    out = downscale(img, 2)
-    assert (out.width, out.height) == (1, 1)
-    assert out.pixels[0, 0] == 25
-
-
-def test_downscale_partial_edge_blocks():
-    # right column is a 1x2 partial block: mean(3, 6) = 4.5 rounds away to 5
-    img = GrayImage([[1, 2, 3], [4, 5, 6]])
-    out = downscale(img, 2)
-    assert (out.width, out.height) == (2, 1)
-    assert out.pixels.tolist() == naive_downscale([[1, 2, 3], [4, 5, 6]], 2)
-    assert out.pixels.tolist() == [[3, 5]]
-
-
-def test_downscale_matches_reference_loop():
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        w, h = int(rng.integers(1, 14)), int(rng.integers(1, 14))
-        factor = int(rng.integers(1, 5))
-        img = GrayImage(rng.integers(0, 256, size=(h, w)))
-        assert downscale(img, factor).pixels.tolist() == naive_downscale(
-            img.pixels.tolist(), factor
-        )
-
-
-def test_downscale_preserves_range_and_constants():
-    rng = np.random.default_rng(8)
-    for value in (0, 17, 255):
-        img = GrayImage(np.full((7, 5), value, dtype=np.uint8))
-        out = downscale(img, 3)
-        assert np.all(out.pixels == value)
-    img = GrayImage(rng.integers(0, 256, size=(9, 11)))
-    out = downscale(img, 4)
-    assert out.pixels.min() >= 0 and out.pixels.max() <= 255
-
-
-def test_downscale_rejects_zero_factor():
-    img = GrayImage([[1]])
-    with pytest.raises(ValueError, match="factor"):
-        downscale(img, 0)
-
-
-def test_downscale_rejects_a_bool_factor():
-    with pytest.raises(ValueError, match="^factor must be an integer, got True$"):
-        downscale(GrayImage([[1]]), True)
 
 
 # window-sum kernel

@@ -35,7 +35,7 @@ from stereosim import (
     texture,
 )
 
-from stereosim.sensornet import POLICIES, EventRecord, _json_text
+from stereosim.sensornet import POLICIES, DropRecord, EventRecord, TransmissionRecord, _json_text
 
 from oracles import all_simple_paths, naive_mean_abs_change, naive_run_simulation
 
@@ -446,7 +446,7 @@ def test_equal_frame_pairs_are_matched_once_per_step(monkeypatch):
         assert report_to_dict(report) == report_to_dict(run_simulation(_multi_pair_scenario(n)))
 
 
-def test_event_memo_matches_detect_event_on_each_pairs_consecutive_maps(monkeypatch):
+def test_detect_event_runs_once_per_executed_pair_step_on_its_consecutive_maps(monkeypatch):
     import stereosim.sensornet as sensornet
 
     scenario = load_scenario(GOLDEN / "shared_frames.scenario.json")
@@ -473,8 +473,7 @@ def test_event_memo_matches_detect_event_on_each_pairs_consecutive_maps(monkeypa
                 expected.append(EventRecord(step, key, change))
             maps[key] = curr
     assert report.events == expected
-    # pairs with equal (previous, current) inputs in one step share one call
-    assert 0 < len(calls) < executed
+    assert len(calls) == executed
 
 
 def test_policy_dominance_when_rle_is_smaller():
@@ -929,6 +928,44 @@ def test_json_text_writes_what_json_dumps_writes(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
 
+# 1, True and 1.0 are equal but print differently; ints above 256 are distinct
+# objects even when equal; each drawn tuple is a new object
+_record_values = (
+    st.sampled_from([1, True, 1.0, 0, False, 0.0, -0.0, None]) | st.integers(257, 2**70)
+    | st.integers(-3, 3) | st.text(max_size=3) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.tuples(st.integers(0, 3), st.sampled_from([1, True, 1.0]))
+)
+
+
+@st.composite
+def _record_lists(draw):
+    cls = draw(st.sampled_from([EventRecord, TransmissionRecord, DropRecord]))
+    fields = st.lists(_record_values, min_size=len(cls._fields), max_size=len(cls._fields))
+    return [cls(*draw(fields)) for _ in range(draw(st.integers(1, 6)))]
+
+
+@settings(max_examples=300)
+@given(_record_lists())
+@example([EventRecord(1, (3, 4), 1), EventRecord(True, (3, 4), True), EventRecord(1.0, (3, 4), 1.0),
+          EventRecord(None, (3, 4), None)])
+@example([TransmissionRecord(1, (3, 4), "raw_frame", 10**6 + k, (4, 3)) for k in (0, 0, 1)])
+def test_json_text_writes_a_record_list_as_json_dumps_writes_its_dicts(records):
+    expected = json.dumps([r._asdict() for r in records], indent=2, sort_keys=True, allow_nan=False)
+    assert _json_text(records) == expected
+    assert _json_text({"records": records}) == json.dumps({"records": [r._asdict() for r in records]},
+                                                          indent=2, sort_keys=True, allow_nan=False)
+
+
+def test_records_are_immutable():
+    records = [EventRecord(1, (3, 4), 0.0), TransmissionRecord(1, (3, 4), "raw_frame", 9, (4, 3)),
+               DropRecord(1, (3, 4), "camera-dead", 3, None, 0)]
+    for record in records:
+        for name in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 2)
+        assert type(record)(*record) == record
+
+
 def test_json_text_refuses_what_json_dumps_refuses():
     with pytest.raises(TypeError) as refused:
         json.dumps(np.int64(1))
@@ -946,5 +983,15 @@ def test_save_report_refuses_a_non_finite_number_and_writes_nothing(tmp_path, va
         _json_dumps_report(report)
     out = tmp_path / "report.json"
     with pytest.raises(ValueError, match=message):
+        save_report(report, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_save_report_refuses_a_non_finite_number_in_a_record_and_writes_nothing(tmp_path, value):
+    report = run_simulation(make_line_scenario())
+    report.events[-1] = report.events[-1]._replace(change=value)
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError, match=f"^Out of range float values are not JSON compliant: {value!r}$"):
         save_report(report, out)
     assert not out.exists()

@@ -13,7 +13,7 @@ each run with perf_counter:
 - load_scenario: read and build the scenario file;
 - validate_scenario: the checks run_simulation starts with;
 - run_simulation: the whole step loop, validation included;
-- report_to_dict and _json_text: the two halves of save_report;
+- save_report: render the report and write it to a temporary file;
 - cli_simulate: `stereosim simulate SCENARIO --out REPORT`, end to end.
 
 The fields have the shape of the benchmark's `field-shared` workload: a sink,
@@ -91,8 +91,12 @@ def import_tree(index: int, src: Path):
     return importlib.import_module(f"{name}.sensornet"), importlib.import_module(f"{name}.cli")
 
 
-def simulate(sensornet, cli, path: Path, out: Path, samples: dict) -> tuple[dict, str]:
-    """One timed run of every stage; returns the report's sizes and text."""
+def simulate(sensornet, cli, path: Path, saved: Path, out: Path, samples: dict) -> tuple[dict, str]:
+    """One timed run of every stage; returns the report's sizes and text.
+
+    save_report writes to saved and the CLI to out, and both must hold the
+    same bytes.
+    """
 
     def timed(stage, fn, *args):
         t0 = time.perf_counter()
@@ -103,14 +107,14 @@ def simulate(sensornet, cli, path: Path, out: Path, samples: dict) -> tuple[dict
     sc = timed("load_scenario", sensornet.load_scenario, path)
     timed("validate_scenario", sensornet.validate_scenario, sc)
     report = timed("run_simulation", sensornet.run_simulation, sc)
-    doc = timed("report_to_dict", sensornet.report_to_dict, report)
-    text = timed("_json_text", sensornet._json_text, doc)
+    timed("save_report", sensornet.save_report, report, saved)
+    text = saved.read_text()
     with contextlib.redirect_stdout(io.StringIO()):
         code = timed("cli_simulate", cli.main, ["simulate", str(path), "--out", str(out)])
-    if code != 0 or out.read_text() != text + "\n":
+    if code != 0 or out.read_text() != text:
         raise SystemExit(f"simulate failed or wrote other bytes (exit code {code})")
     sizes = {"pairs": PAIRS, "steps": STEPS, "width": SIDE, "height": SIDE,
-             "transmissions": len(report.transmissions), "report_bytes": len(text) + 1}
+             "transmissions": len(report.transmissions), "report_bytes": len(text)}
     return sizes, text
 
 
@@ -127,7 +131,7 @@ def main(argv=None) -> int:
 
     records = []
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "scenario.json", Path(tmp) / "report.json"
+        path, saved, out = (Path(tmp) / name for name in ("scenario.json", "saved.json", "report.json"))
         for field in FIELDS:
             path.write_text(json.dumps(scenario(field)))
             samples = {label: {} for label in modules}
@@ -135,7 +139,7 @@ def main(argv=None) -> int:
             for run in range(args.runs + 1):
                 for label in labels if run % 2 == 0 else labels[::-1]:
                     gc.collect()
-                    sizes, texts[label] = simulate(*modules[label], path, out, samples[label] if run else {})
+                    sizes, texts[label] = simulate(*modules[label], path, saved, out, samples[label] if run else {})
             if len(set(texts.values())) > 1:
                 raise SystemExit(f"{field}: the trees write different report bytes")
             first = samples[labels[0]]
