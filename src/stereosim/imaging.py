@@ -168,17 +168,20 @@ def _require_same_dims(a: GrayImage, b: GrayImage, a_name: str, b_name: str):
 
 # Bytes of one banded working array. A band pass of the matcher or of ssim
 # touches a handful of arrays of this size, which together fit a 2 MiB L2
-# cache. A property of the cache, not of the input or the user.
+# cache. A property of the cache, not of the input or the user. A frame the
+# matcher splits over two threads (stereo._SPLIT_BYTES) uses bands four
+# times as large instead: each numpy call then runs long enough for the
+# other thread's calls to overlap it, which outweighs the cache.
 _BAND_BYTES = 256 * 1024
 
 
-def _row_bands(rows: int, row_bytes: int) -> list[tuple[int, int]]:
+def _row_bands(rows: int, row_bytes: int, band_bytes: int | None = None) -> list[tuple[int, int]]:
     """Consecutive [start, stop) ranges that cover range(rows) once, in order.
 
-    Each band holds as many rows of row_bytes bytes as fit in _BAND_BYTES,
-    and at least one.
+    Each band holds as many rows of row_bytes bytes as fit in band_bytes
+    (by default _BAND_BYTES), and at least one.
     """
-    step = max(1, _BAND_BYTES // row_bytes)
+    step = max(1, (band_bytes or _BAND_BYTES) // row_bytes)
     return [(y, min(y + step, rows)) for y in range(0, rows, step)]
 
 

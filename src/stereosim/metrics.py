@@ -6,7 +6,6 @@ score SSIM 1.0 exactly and the metrics are exactly symmetric.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -64,21 +63,51 @@ def ssim(a: GrayImage, b: GrayImage, window_side: int = 8) -> MetricResult:
     ((mu_a^2 + mu_b^2 + C1) * (var_a + var_b + C2)), with variances and the
     covariance using the unbiased n-1 denominator, so window_side must be at
     least 2. The window means use exact integer sums, and the per-window
-    scores are totaled with an order-independent exact float sum, so results
-    are deterministic.
+    scores are totaled exactly and rounded once (as math.fsum does), so
+    results are deterministic.
     """
     _require_int("window_side", window_side, 2)
     _require_same_dims(a, b, "a", "b")
     side = window_side
     if a.width < side or a.height < side:
         raise ValueError(f"image {a.width}x{a.height} is smaller than the {side}x{side} ssim window")
-    scores = _ssim_band_scores(a.pixels, b.pixels, side)
+    total = _exact_sum(_ssim_band_scores(a.pixels, b.pixels, side))
     windows = (a.height - side + 1) * (a.width - side + 1)
-    return MetricResult(math.fsum(itertools.chain.from_iterable(scores)) / windows)
+    return MetricResult(total / windows)
+
+
+# frexp gives every finite double as m * 2**e with e >= -1073 and 2**53 * m
+# an integer, so each one is an integer multiple of 2**-1126.
+_LEAST_EXPONENT = -1073 - 53
+
+
+def _exact_sum(arrays) -> float:
+    """math.fsum of every value in the float64 arrays: their exact sum, rounded once.
+
+    The arrays must be non-empty and their values finite. Each value is
+    split by np.frexp into m * 2**e, and m * 2**27 by np.modf into a whole
+    part below 2**27 in magnitude and a fraction that is a multiple of
+    2**-26, so np.bincount's float64 totals of either by exponent are exact
+    for arrays of fewer than 2**26 values. The totals are shifted together
+    as one Python int, a multiple of 2**_LEAST_EXPONENT, and one int
+    division rounds it correctly. Only one array's parts are held at a time.
+    """
+    total = 0
+    for x in arrays:
+        m, e = np.frexp(x)
+        fraction, whole = np.modf(np.multiply(m, 2.0**27, out=m))
+        low = int(e.min())
+        bins = np.subtract(e, low, out=e).ravel()
+        for part in whole, fraction:
+            sums = np.bincount(bins, weights=part.ravel()) * 2.0**26
+            for k, v in enumerate(sums.tolist()):
+                if v:
+                    total += int(v) << (low + k - 27 - 26 - _LEAST_EXPONENT)
+    return total / (1 << -_LEAST_EXPONENT)
 
 
 def _ssim_band_scores(pa: np.ndarray, pb: np.ndarray, side: int):
-    """Yield the per-window ssim scores as one list per row of windows, in row-major order.
+    """Yield the per-window ssim scores, one float64 array per band of window rows, in row-major order.
 
     The five window sums are exact integers in the narrowest type that holds
     255 ** 2 * side ** 2, the bound that also sizes ssd costs. The float
@@ -134,4 +163,4 @@ def _ssim_band_scores(pa: np.ndarray, pb: np.ndarray, side: int):
         var_a += _C2
         mu_a *= var_a
         t /= mu_a
-        yield from f[5, : (y1 - y0) * w].reshape(-1, w)[:, : w - side + 1].tolist()
+        yield f[5, : (y1 - y0) * w].reshape(-1, w)[:, : w - side + 1]

@@ -429,11 +429,14 @@ def run_simulation(scenario: Scenario) -> SimReport:
         for n in scenario.nodes
     }
     # Per pair, in step order, each one object or value for the whole run: its
-    # frames, match params, key, report, cameras and their reports, intra-pair
-    # hop (right to left) with the bytes and radio cost of the frame it carries,
-    # and the left camera's processing cost. Every frame of a pair has the
-    # step-0 size (validated), so byte counts and costs are per-run constants.
-    plans, pair_reports = [], []
+    # frames, match params and their spec number, key, report, cameras and
+    # their reports, intra-pair hop (right to left) with the bytes and radio
+    # cost of the frame it carries, and the left camera's processing cost.
+    # Every frame of a pair has the step-0 size (validated), so byte counts
+    # and costs are per-run constants. Equal match params share a spec
+    # number, which the perception key holds, so the params are hashed once
+    # per pair, not at every step.
+    plans, pair_reports, specs = [], [], {}
     for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
         pr = PairReport(
@@ -449,7 +452,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
         pair_reports.append(pr)
         frame_bytes = pr.raw_pair_bytes // 2  # both frames weigh the same
         plans.append((
-            pair.frames, pair.match_params, (pair.left_node, pair.right_node), pr,
+            pair.frames, pair.match_params, specs.setdefault(pair.match_params, len(specs)),
+            (pair.left_node, pair.right_node), pr,
             nodes[pair.left_node], reports[pair.left_node],
             nodes[pair.right_node], reports[pair.right_node],
             (pair.right_node, pair.left_node), frame_bytes, model.tx_cost(frame_bytes),
@@ -497,7 +501,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     for step in range(1, steps + 1):
         used = {}
-        for (frames, params, key, pr, left, left_rep, right, right_rep,
+        for (frames, params, spec, key, pr, left, left_rep, right, right_rep,
              hop, frame_bytes, hop_cost, cpu_cost) in plans:
             if step > len(frames):
                 continue
@@ -514,10 +518,10 @@ def run_simulation(scenario: Scenario) -> SimReport:
             book(left, left_rep, step, cpu_cost, drawn).processing_uj += drawn
 
             lf, rf = frames[step - 1]
-            inputs = (lf, rf, params)
+            inputs = (lf, rf, spec)
             result = used.get(inputs)
             if result is None:
-                result = used[inputs] = perceived.get(inputs) or _perceive(*inputs)
+                result = used[inputs] = perceived.get(inputs) or _perceive(lf, rf, params)
             dmap, ops, rle_nbytes = result
             pr.elementary_ops += ops
             prev = last.get(key)
@@ -753,7 +757,8 @@ class _Loader:
         seed = self.get_int(where, obj, "seed", default=scenario_seed, minimum=0)
         raw = obj.get("shift_per_step", 0)
         if isinstance(raw, list):
-            if not raw or not all(map(_is_int, raw)):
+            # _is_int reads a value's type alone, so one value of each type stands for them all
+            if not raw or not all(map(_is_int, dict(zip(map(type, raw), raw)).values())):
                 self.fail(f"{where}.shift_per_step", "must be a non-empty list of integers")
                 return None
             shifts = raw

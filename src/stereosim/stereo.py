@@ -8,7 +8,9 @@ winner-takes-all selection. All cost arithmetic is integer-exact.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 import time
 from dataclasses import dataclass
 
@@ -210,6 +212,101 @@ def _agg_dtype(method: str, window_side: int) -> type:
     return _sum_dtype(255 if method == "sad" else 255 * 255, window_side)
 
 
+# Valid rows holding at least this many bytes of costs are matched on two
+# threads, each in bands of this size. A thread holds the GIL between numpy
+# calls, so the threads overlap only while their calls run: bands of
+# _BAND_BYTES gained nothing, and frames smaller than this ran slower.
+_SPLIT_BYTES = 1024 * 1024
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or os.cpu_count() where affinity is unknown."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _on_two_threads(first, second):
+    """Run second on a worker thread while this thread runs first.
+
+    The worker is joined before this returns or raises, and an exception
+    it raised is raised here.
+    """
+    failed = []
+
+    def run():
+        try:
+            second()
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=run, name="stereosim-match")
+    worker.start()
+    try:
+        first()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+
+
+def _band_matcher(a, b, w: int, out, side: int, dmax: int, ssd: bool, packed: bool, bands):
+    """A function that matches each [y0, y1) band of window rows and writes
+    its winners into out[y0:y1], the valid columns of those rows.
+
+    a and b are compute_disparity's flat frames of rows w wide, b with
+    dmax zeros in front. The band buffers are allocated here, by the
+    calling thread, so that a worker thread running the function allocates
+    nothing: buffers a worker allocates stay in its own malloc arena and
+    raise the peak resident size.
+    """
+    band_rows = max(y1 - y0 for y0, y1 in bands)
+    diff = np.empty((band_rows + side - 1) * w, dtype=a.dtype)
+    scratch = np.empty(2 * diff.size, dtype=a.dtype)
+    cost = np.empty(band_rows * w, dtype=a.dtype)
+    best = np.empty(band_rows * w, dtype=a.dtype)
+    if not packed:
+        d_type = np.min_scalar_type(dmax)
+        best_d = np.empty(band_rows * w, dtype=d_type)
+        step = np.empty(band_rows * w, dtype=d_type)
+        improved = np.empty(band_rows * w, dtype=bool)
+
+    def match():
+        for y0, y1 in bands:
+            n_in = (y1 - y0 + side - 1) * w
+            n = (y1 - y0) * w - side + 1
+            a_band, band_diff = a[y0 * w : y0 * w + n_in], diff[:n_in]
+            cost_n, best_n = cost[:n], best[:n]
+            for d in range(dmax + 1):
+                at = dmax - d + y0 * w
+                np.subtract(a_band, b[at : at + n_in], out=band_diff)
+                # the square of a difference equals the square of its absolute value
+                if ssd:
+                    np.multiply(band_diff, band_diff, out=band_diff)
+                else:
+                    np.abs(band_diff, out=band_diff)
+                if d == 0:
+                    _window_sums(band_diff, w, side, best, scratch)
+                    if not packed:
+                        best_d[:n] = 0
+                    continue
+                _window_sums(band_diff, w, side, cost, scratch)
+                if packed:
+                    cost_n += d
+                else:
+                    np.less(cost_n, best_n, out=improved[:n])
+                    # d only grows, so an improved pixel's new winner is the largest d so far
+                    np.multiply(improved[:n].view(np.uint8), d_type.type(d), out=step[:n])
+                    np.maximum(best_d[:n], step[:n], out=best_d[:n])
+                np.minimum(best_n, cost_n, out=best_n)
+            cols = slice(dmax, dmax + out.shape[1])
+            if packed:
+                np.bitwise_and(best[: (y1 - y0) * w].reshape(-1, w)[:, cols], 255, out=out[y0:y1])
+            else:
+                out[y0:y1] = best_d[: (y1 - y0) * w].reshape(-1, w)[:, cols]
+
+    return match
+
+
 def compute_disparity(
     left: GrayImage, right: GrayImage, params: MatchParams
 ) -> tuple[DisparityMap, CostStats]:
@@ -221,6 +318,11 @@ def compute_disparity(
     right(x - d, y). Ties break toward the smallest d.
     Border pixels whose windows cannot be evaluated at every candidate
     disparity are marked invalid. The result is bit-identical across runs.
+
+    A frame whose valid rows hold at least _SPLIT_BYTES of costs is matched
+    on two threads when the process may run on two CPUs: a worker thread
+    matches the lower half of the rows while the calling thread matches the
+    upper half, and the worker has ended when this returns.
     """
     _require_same_dims(left, right, "left", "right")
     findings = params.extent_findings(left.width, left.height, "image")
@@ -241,8 +343,16 @@ def compute_disparity(
     if row1 > row0 and col1 > col0:
         n_valid = (row1 - row0) * (col1 - col0)
         side = params.window_side
+        ssd = params.method == "ssd"
         dt = _agg_dtype(params.method, side)
-        # Both frames are matched as flat row-major runs. In the band from row
+        # Packed selection: with both frames scaled by 16, every ssd window
+        # cost is 256 times the true one, so cost + d holds the cost above
+        # the low byte and d below it, and one np.minimum per disparity keeps
+        # the least cost and, among equal costs, the smallest d. It applies
+        # where the packed cost fits int32, the type _agg_dtype gives ssd at
+        # these sides; sad and wider windows select with a comparison.
+        packed = ssd and dmax < 256 and 256 * 255**2 * side**2 <= np.iinfo(np.int32).max
+        # Both frames are matched as flat row-major runs. In a band from row
         # y0, window sum i * w + x is the window whose top-left pixel is
         # (y0 + i, x), centered on pixel (row0 + y0 + i, x + r); the columns
         # x < dmax and the windows that wrap past a row's end are summed too,
@@ -251,40 +361,20 @@ def compute_disparity(
         # dmax zeros before the right frame keep every shifted read in bounds
         b = np.zeros(dmax + h * w, dtype=dt)
         b[dmax:] = right.pixels.reshape(-1)
-        bands = _row_bands(row1 - row0, w * a.itemsize)
-        band_rows = bands[0][1]
-        diff = np.empty((band_rows + side - 1) * w, dtype=dt)
-        scratch = np.empty(2 * diff.size, dtype=dt)
-        cost = np.empty(band_rows * w, dtype=dt)
-        best = np.empty(band_rows * w, dtype=dt)
-        d_type = np.min_scalar_type(dmax)
-        best_d = np.empty(band_rows * w, dtype=d_type)
-        step = np.empty(band_rows * w, dtype=d_type)
-        improved = np.empty(band_rows * w, dtype=bool)
-        for y0, y1 in bands:
-            n_in = (y1 - y0 + side - 1) * w
-            n = (y1 - y0) * w - side + 1
-            a_band, band_diff = a[y0 * w : y0 * w + n_in], diff[:n_in]
-            best_d[:n] = 0
-            for d in range(dmax + 1):
-                at = dmax - d + y0 * w
-                np.subtract(a_band, b[at : at + n_in], out=band_diff)
-                # the square of a difference equals the square of its absolute value
-                if params.method == "ssd":
-                    np.multiply(band_diff, band_diff, out=band_diff)
-                else:
-                    np.abs(band_diff, out=band_diff)
-                if d == 0:
-                    _window_sums(band_diff, w, side, best, scratch)
-                    continue
-                _window_sums(band_diff, w, side, cost, scratch)
-                np.less(cost[:n], best[:n], out=improved[:n])
-                # d only grows, so an improved pixel's new winner is the largest d so far
-                np.multiply(improved[:n].view(np.uint8), d_type.type(d), out=step[:n])
-                np.maximum(best_d[:n], step[:n], out=best_d[:n])
-                np.minimum(best[:n], cost[:n], out=best[:n])
-            winners = best_d[: (y1 - y0) * w].reshape(-1, w)
-            disp[row0 + y0 : row0 + y1, col0:col1] = winners[:, col0 - r : col1 - r]
+        if packed:
+            a <<= 4
+            b <<= 4
+        out = disp[row0:row1, col0:col1]
+        rows, row_bytes = row1 - row0, w * a.itemsize
+        if rows * row_bytes >= _SPLIT_BYTES and _cpu_count() >= 2:
+            mid = rows // 2
+            upper = _row_bands(mid, row_bytes, _SPLIT_BYTES)
+            lower = _row_bands(rows - mid, row_bytes, _SPLIT_BYTES)
+            lower = [(mid + y0, mid + y1) for y0, y1 in lower]
+            _on_two_threads(*(_band_matcher(a, b, w, out, side, dmax, ssd, packed, bands)
+                              for bands in (upper, lower)))
+        else:
+            _band_matcher(a, b, w, out, side, dmax, ssd, packed, _row_bands(rows, row_bytes))()
         valid[row0:row1, col0:col1] = True
 
     ops = n_valid * (dmax + 1) * params.window_side**2
@@ -324,14 +414,18 @@ def scale_to_gray(dmap: DisparityMap) -> GrayImage:
     Valid pixels map linearly, round(255 * d / max_disparity) with half away
     from zero; invalid pixels render as 0. max_disparity 0 renders all 0.
     """
-    if dmap.max_disparity == 0:
-        gray = np.zeros((dmap.height, dmap.width), dtype=np.int64)
-    else:
-        d = dmap.disparities.astype(np.int64)
-        m = dmap.max_disparity
-        gray = (2 * 255 * d + m) // (2 * m)
-        gray = np.where(dmap.valid, gray, 0)
-    return GrayImage(gray)
+    m, d = dmap.max_disparity, dmap.disparities
+    if m == 0:
+        return GrayImage(np.zeros(d.shape, dtype=np.uint8))
+    # Each disparity's level is looked up in a uint8 table, sized by the
+    # largest disparity present, not by m, which may be 2**31 - 1; a map
+    # holding a disparity beyond its pixel count is rendered pixel by pixel.
+    top = int(d.max())
+    levels = np.arange(top + 1) if top < d.size else d.astype(np.int64)
+    gray = ((2 * 255 * levels + m) // (2 * m)).astype(np.uint8)
+    if top < d.size:
+        gray = gray.take(d)
+    return GrayImage(gray * dmap.valid)
 
 
 def sidecar_num_bytes(width: int, height: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stereosim import GrayImage, imaging, mse, psnr, ssim, texture
+from stereosim import GrayImage, imaging, metrics, mse, psnr, ssim, texture
 
 from oracles import naive_ssim
 
@@ -206,3 +206,28 @@ def test_ssim_params_reject_values_the_kernel_cannot_use(field, value, message):
     img = texture(8, 8, 0)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         ssim(img, img, **{field: value})
+
+
+# values where a float sum loses or mishandles bits: signed zeros, the least
+# subnormal and the largest subnormal, and magnitudes 600 binary orders apart
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e300, -1e300, 1.0, -1.0]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.one_of(st.floats(-1e300, 1e300), st.sampled_from(_EDGE_FLOATS)), min_size=1, max_size=60
+    ),
+    st.lists(st.integers(1, 60), max_size=3),
+)
+@example([1e300, 1.0, -1e300], [1, 2])  # 1.0 survives only an exact total
+@example([-0.0, -0.0], [])  # math.fsum gives 0.0, not -0.0
+@example([5e-324] * 3 + [-1e-320], [2])
+def test_exact_sum_equals_math_fsum_bit_for_bit(values, cuts):
+    x = np.array(values)
+    # the values arrive as consecutive non-empty arrays, as ssim's bands do
+    bounds = sorted({0, len(values), *(c for c in cuts if c < len(values))})
+    parts = [x[i:j] for i, j in zip(bounds, bounds[1:])]
+    total = metrics._exact_sum(parts)
+    assert math.copysign(1.0, total) == math.copysign(1.0, math.fsum(values))
+    assert total == math.fsum(values)

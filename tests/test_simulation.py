@@ -446,6 +446,39 @@ def test_equal_frame_pairs_are_matched_once_per_step(monkeypatch):
         assert report_to_dict(report) == report_to_dict(run_simulation(_multi_pair_scenario(n)))
 
 
+def test_match_params_are_hashed_once_per_pair_per_run(monkeypatch):
+    hashes = []
+    spec_hash = MatchParams.__hash__
+
+    def counting(params):
+        hashes.append(params)
+        return spec_hash(params)
+
+    monkeypatch.setattr(MatchParams, "__hash__", counting)
+    scenario = _multi_pair_scenario(4)
+    hashes.clear()
+    run_simulation(scenario)
+    # 4 pairs over 3 steps execute 12 pair-steps
+    assert len(hashes) == 4
+
+
+def test_pairs_whose_match_params_differ_are_matched_apart(monkeypatch):
+    import stereosim.sensornet as sensornet
+
+    calls = []
+
+    def counting(left, right, params):
+        calls.append(params)
+        return compute_disparity(left, right, params)
+
+    monkeypatch.setattr(sensornet, "compute_disparity", counting)
+    scenario = _multi_pair_scenario(3)
+    # the same frames, matched with sad, ssd and sad again
+    scenario.pairs[1] = replace(scenario.pairs[1], match_params=MatchParams(1, 4, "ssd"))
+    run_simulation(scenario)
+    assert [p.method for p in calls] == ["sad", "ssd"] * 3
+
+
 def test_detect_event_runs_once_per_executed_pair_step_on_its_consecutive_maps(monkeypatch):
     import stereosim.sensornet as sensornet
 
@@ -713,6 +746,23 @@ def test_scenario_synthetic_infers_steps_from_shift_list():
     doc["pairs"][0]["frames"] = {"synthetic": {"width": 16, "height": 16, "shift_per_step": 1}}
     with pytest.raises(ScenarioError, match="steps"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("unequal", [[True, 2], [1, 2.0], [1, "2"]])
+def test_a_shift_list_equal_in_value_to_a_valid_one_is_still_checked(unequal):
+    # True == 1 and 2.0 == 2, so a check keyed by list value would pass these
+    doc = _scenario_dict()
+    doc["nodes"] += [{"id": 3, "role": "camera", "battery": 1e9}, {"id": 4, "role": "camera", "battery": 1e9}]
+    doc["links"] += [[0, 3], [3, 4]]
+    synthetic = {"width": 16, "height": 16, "shift_per_step": [1, 2]}
+    doc["pairs"][0]["frames"] = {"synthetic": synthetic}
+    doc["pairs"].append(dict(doc["pairs"][0], left=3, right=4,
+                             frames={"synthetic": dict(synthetic, shift_per_step=unequal)}))
+    with pytest.raises(ScenarioError) as info:
+        scenario_from_dict(doc)
+    assert info.value.errors == [
+        "pairs[1].frames.synthetic.shift_per_step: must be a non-empty list of integers"
+    ]
 
 
 def test_scenario_dict_energy_overrides():

@@ -1,5 +1,9 @@
+import os
 import re
 import struct
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +28,7 @@ from stereosim import (
     sidecar_num_bytes,
     texture,
 )
-from stereosim import imaging
+from stereosim import imaging, stereo
 from stereosim.stereo import METHODS, _agg_dtype
 
 from oracles import count_rle_records, naive_disparity
@@ -512,3 +516,140 @@ def test_sidecar_decoder_raises_only_its_format_error(data):
         return
     # the sidecar has one encoding per map, so whatever decodes re-encodes exactly
     assert serialize_disparity(dmap) == data
+
+
+def _shifted_noisy_pair(w, h, shift, seed):
+    """A random left frame and a right frame shifted by shift, with a tenth of its pixels redrawn."""
+    rng = np.random.default_rng(seed)
+    master = rng.integers(0, 256, size=(h, w + shift))
+    right = master[:, shift:].copy()
+    noisy = rng.random((h, w)) < 0.1
+    right[noisy] = rng.integers(0, 256, size=int(noisy.sum()))
+    return master[:, :w], right
+
+
+def _matching_threads(monkeypatch, left, right, params):
+    """compute_disparity's map and the number of threads that summed its windows."""
+    idents = set()
+
+    def spying(*args):
+        idents.add(threading.get_ident())
+        return window_sums(*args)
+
+    window_sums = stereo._window_sums
+    monkeypatch.setattr(stereo, "_window_sums", spying)
+    dmap, _ = compute_disparity(GrayImage(left), GrayImage(right), params)
+    monkeypatch.setattr(stereo, "_window_sums", window_sums)
+    return dmap, len(idents)
+
+
+@pytest.mark.parametrize("method, w, h", [("ssd", 640, 420), ("sad", 1024, 520)])
+def test_a_frame_above_the_split_threshold_equals_its_row_crops_matched_on_one_thread(
+    monkeypatch, method, w, h
+):
+    # two CPUs, whatever this host has, so that the frame is split
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    params = MatchParams(1, 4, method)
+    cost_bytes = np.dtype(_agg_dtype(method, params.window_side)).itemsize
+    left, right = _shifted_noisy_pair(w, h, 3, seed=len(method))
+    assert (h - 2) * w * cost_bytes >= stereo._SPLIT_BYTES
+    # the threads hand the interpreter over as often as it allows
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        dmap, threads = _matching_threads(monkeypatch, left, right, params)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert threads == 2
+    # two crops that overlap by a window, each too small to split
+    half = h // 2
+    for top, bottom in ((0, half + 6), (half - 6, h)):
+        assert (bottom - top - 2) * w * cost_bytes < stereo._SPLIT_BYTES
+        crop, threads = _matching_threads(monkeypatch, left[top:bottom], right[top:bottom], params)
+        assert threads == 1
+        rows = slice(top + 1, bottom - 1)
+        assert np.array_equal(dmap.disparities[rows], crop.disparities[1:-1])
+        assert np.array_equal(dmap.valid[rows], crop.valid[1:-1])
+    assert np.count_nonzero(dmap.disparities == 3) > 0.8 * dmap.valid.sum()
+
+
+def test_a_frame_above_the_split_threshold_stays_on_one_thread_with_one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    left, right = _shifted_noisy_pair(640, 420, 3, seed=1)
+    dmap, threads = _matching_threads(monkeypatch, left, right, MatchParams(1, 4, "ssd"))
+    assert threads == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _matching_threads(monkeypatch, left, right, MatchParams(1, 4, "ssd")) == (dmap, 2)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_split_match_leaves_no_thread_running_and_raises_what_either_thread_raised(
+    monkeypatch, failing
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    left, right = (GrayImage(p) for p in _shifted_noisy_pair(640, 420, 3, seed=2))
+    params = MatchParams(1, 4, "ssd")
+    before = threading.active_count()
+    compute_disparity(left, right, params)
+    assert threading.active_count() == before
+    window_sums = stereo._window_sums
+
+    def failing_sums(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (failing == "caller"):
+            raise RuntimeError(f"failed on the {failing}")
+        return window_sums(*args)
+
+    monkeypatch.setattr(stereo, "_window_sums", failing_sums)
+    with pytest.raises(RuntimeError, match=f"^failed on the {failing}$"):
+        compute_disparity(left, right, params)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("radius, max_disparity", [(1, 9), (2, 12)])
+def test_packed_ssd_keeps_ties_on_the_smallest_disparity(radius, max_disparity):
+    # a flat frame costs 0 at every disparity
+    flat = GrayImage(np.full((12, 30), 77))
+    dmap, _ = compute_disparity(flat, flat, MatchParams(radius, max_disparity, "ssd"))
+    assert not dmap.disparities.any() and dmap.valid.any()
+    # columns of period 4, shifted by 1: disparities 1, 5 and 9 all cost 0
+    stripes = np.tile(np.array([10, 200, 60, 140]), (12, 9))[:, :34]
+    left, right = stripes[:, :30], stripes[:, 1:31]
+    dmap, _ = compute_disparity(GrayImage(left), GrayImage(right), MatchParams(radius, max_disparity, "ssd"))
+    disp_ref, valid_ref = naive_disparity(left.tolist(), right.tolist(), radius, max_disparity, "ssd")
+    assert dmap.disparities.tolist() == disp_ref
+    assert dmap.valid.tolist() == valid_ref
+    assert set(dmap.disparities[dmap.valid].tolist()) == {1}
+
+
+def test_ssd_with_a_window_too_wide_to_pack_matches_reference():
+    # 256 * 255**2 * 13**2 exceeds int32, so radius 6 selects with a comparison
+    assert 256 * 255**2 * 13**2 > np.iinfo(np.int32).max >= 255**2 * 13**2
+    left, right = _shifted_noisy_pair(24, 16, 2, seed=6)
+    dmap, _ = compute_disparity(GrayImage(left), GrayImage(right), MatchParams(6, 3, "ssd"))
+    disp_ref, valid_ref = naive_disparity(left.tolist(), right.tolist(), 6, 3, "ssd")
+    assert dmap.valid.tolist() == valid_ref
+    assert dmap.disparities.tolist() == disp_ref
+
+
+@pytest.mark.parametrize(
+    "disparities, expected",
+    [
+        # a table of six entries, the largest disparity present plus one
+        ([[0, 1, 2], [3, 4, 5]], [[0, 0, 0], [0, 0, 0]]),
+        # disparities beyond the pixel count are rendered one by one
+        ([[0, 2**31 - 1, 2**30]], [[0, 255, 128]]),
+    ],
+)
+def test_scale_to_gray_of_the_widest_disparity_range_allocates_no_table_of_its_size(
+    disparities, expected
+):
+    dmap = DisparityMap(disparities, np.ones(np.shape(disparities), bool), 2**31 - 1)
+    tracemalloc.start()
+    try:
+        gray = scale_to_gray(dmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gray.pixels.tolist() == expected
+    assert peak < 64 * 1024

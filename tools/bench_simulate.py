@@ -79,8 +79,8 @@ def scenario(field: str) -> dict:
     }
 
 
-def import_tree(index: int, src: Path):
-    """The stereosim package under src, imported under a name of its own."""
+def import_tree(index: int, src: Path, *submodules: str) -> tuple:
+    """The named submodules of the stereosim package under src, imported under a package name of its own."""
     name = f"_stereosim_tree{index}"
     spec = importlib.util.spec_from_file_location(
         name, src / "stereosim" / "__init__.py", submodule_search_locations=[str(src / "stereosim")]
@@ -88,7 +88,7 @@ def import_tree(index: int, src: Path):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return importlib.import_module(f"{name}.sensornet"), importlib.import_module(f"{name}.cli")
+    return tuple(importlib.import_module(f"{name}.{sub}") for sub in submodules)
 
 
 def simulate(sensornet, cli, path: Path, saved: Path, out: Path, samples: dict) -> tuple[dict, str]:
@@ -127,7 +127,8 @@ def main(argv=None) -> int:
     if args.runs < 5:
         ap.error("--runs must be >= 5")
     trees = dict(t.split("=", 1) for t in args.tree or ["current=src"])
-    modules = {label: import_tree(i, (ROOT / src).resolve()) for i, (label, src) in enumerate(trees.items())}
+    modules = {label: import_tree(i, (ROOT / src).resolve(), "sensornet", "cli")
+               for i, (label, src) in enumerate(trees.items())}
 
     records = []
     with tempfile.TemporaryDirectory() as tmp:
