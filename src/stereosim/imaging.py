@@ -168,8 +168,8 @@ def _require_same_dims(a: GrayImage, b: GrayImage, a_name: str, b_name: str):
 
 # Bytes of one banded working array. A band pass of the matcher or of ssim
 # touches a handful of arrays of this size, which together fit a 2 MiB L2
-# cache. A property of the cache, not of the input or the user. A frame the
-# matcher splits over two threads (stereo._SPLIT_BYTES) uses bands four
+# cache. A property of the cache, not of the input or the user. A match
+# the matcher splits over two threads (stereo._SPLIT_EVALS) uses bands four
 # times as large instead: each numpy call then runs long enough for the
 # other thread's calls to overlap it, which outweighs the cache.
 _BAND_BYTES = 256 * 1024

@@ -212,11 +212,19 @@ def _agg_dtype(method: str, window_side: int) -> type:
     return _sum_dtype(255 if method == "sad" else 255 * 255, window_side)
 
 
-# Valid rows holding at least this many bytes of costs are matched on two
-# threads, each in bands of this size. A thread holds the GIL between numpy
-# calls, so the threads overlap only while their calls run: bands of
-# _BAND_BYTES gained nothing, and frames smaller than this ran slower.
-_SPLIT_BYTES = 1024 * 1024
+# A match of at least _SPLIT_EVALS cost evaluations (valid pixels times
+# candidate disparities, the same count for sad and ssd) runs on two
+# threads, each in bands of _SPLIT_BAND_BYTES. A thread holds the GIL
+# between numpy calls, so the threads overlap only while their calls run.
+# Set from two-thread against one-thread timings (2-vCPU Xeon): sad frames
+# of 448x448 at dmax 64 (10.9 million evaluations) and below ran slower on
+# two threads, 512x512 (14.5 million) ran faster with both methods, and so
+# did every larger frame measured; frames with radius-1 windows and 5.5
+# million evaluations ran slower. The window side is left out of the count:
+# window sums take a pass per doubling of the side, not per pixel of the
+# window, and 256x256 frames at radius 10 ran slower on two threads.
+_SPLIT_EVALS = 12_000_000
+_SPLIT_BAND_BYTES = 1024 * 1024
 
 
 def _cpu_count() -> int:
@@ -319,10 +327,11 @@ def compute_disparity(
     Border pixels whose windows cannot be evaluated at every candidate
     disparity are marked invalid. The result is bit-identical across runs.
 
-    A frame whose valid rows hold at least _SPLIT_BYTES of costs is matched
-    on two threads when the process may run on two CPUs: a worker thread
-    matches the lower half of the rows while the calling thread matches the
-    upper half, and the worker has ended when this returns.
+    A match of at least _SPLIT_EVALS cost evaluations over two or more
+    valid rows runs on two threads when the process may run on two CPUs: a
+    worker thread matches the lower half of the rows while the calling
+    thread matches the upper half, and the worker has ended when this
+    returns.
     """
     _require_same_dims(left, right, "left", "right")
     findings = params.extent_findings(left.width, left.height, "image")
@@ -366,10 +375,10 @@ def compute_disparity(
             b <<= 4
         out = disp[row0:row1, col0:col1]
         rows, row_bytes = row1 - row0, w * a.itemsize
-        if rows * row_bytes >= _SPLIT_BYTES and _cpu_count() >= 2:
+        if rows >= 2 and n_valid * (dmax + 1) >= _SPLIT_EVALS and _cpu_count() >= 2:
             mid = rows // 2
-            upper = _row_bands(mid, row_bytes, _SPLIT_BYTES)
-            lower = _row_bands(rows - mid, row_bytes, _SPLIT_BYTES)
+            upper = _row_bands(mid, row_bytes, _SPLIT_BAND_BYTES)
+            lower = _row_bands(rows - mid, row_bytes, _SPLIT_BAND_BYTES)
             lower = [(mid + y0, mid + y1) for y0, y1 in lower]
             _on_two_threads(*(_band_matcher(a, b, w, out, side, dmax, ssd, packed, bands)
                               for bands in (upper, lower)))

@@ -543,16 +543,25 @@ def _matching_threads(monkeypatch, left, right, params):
     return dmap, len(idents)
 
 
-@pytest.mark.parametrize("method, w, h", [("ssd", 640, 420), ("sad", 1024, 520)])
+def _split_evals(w, h, params):
+    """The cost evaluations compute_disparity counts against stereo._SPLIT_EVALS."""
+    r, dmax = params.window_radius, params.max_disparity
+    return (h - 2 * r) * (w - dmax - 2 * r) * (dmax + 1)
+
+
+# 640x480 at radius 1 and max_disparity 48: 13.8 million evaluations
+_SPLIT_PARAMS = {method: MatchParams(1, 48, method) for method in METHODS}
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_a_frame_above_the_split_threshold_equals_its_row_crops_matched_on_one_thread(
-    monkeypatch, method, w, h
+    monkeypatch, method
 ):
     # two CPUs, whatever this host has, so that the frame is split
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    params = MatchParams(1, 4, method)
-    cost_bytes = np.dtype(_agg_dtype(method, params.window_side)).itemsize
+    params, w, h = _SPLIT_PARAMS[method], 640, 480
     left, right = _shifted_noisy_pair(w, h, 3, seed=len(method))
-    assert (h - 2) * w * cost_bytes >= stereo._SPLIT_BYTES
+    assert _split_evals(w, h, params) >= stereo._SPLIT_EVALS
     # the threads hand the interpreter over as often as it allows
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -564,7 +573,7 @@ def test_a_frame_above_the_split_threshold_equals_its_row_crops_matched_on_one_t
     # two crops that overlap by a window, each too small to split
     half = h // 2
     for top, bottom in ((0, half + 6), (half - 6, h)):
-        assert (bottom - top - 2) * w * cost_bytes < stereo._SPLIT_BYTES
+        assert _split_evals(w, bottom - top, params) < stereo._SPLIT_EVALS
         crop, threads = _matching_threads(monkeypatch, left[top:bottom], right[top:bottom], params)
         assert threads == 1
         rows = slice(top + 1, bottom - 1)
@@ -575,11 +584,26 @@ def test_a_frame_above_the_split_threshold_equals_its_row_crops_matched_on_one_t
 
 def test_a_frame_above_the_split_threshold_stays_on_one_thread_with_one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    left, right = _shifted_noisy_pair(640, 420, 3, seed=1)
-    dmap, threads = _matching_threads(monkeypatch, left, right, MatchParams(1, 4, "ssd"))
+    left, right = _shifted_noisy_pair(640, 480, 3, seed=1)
+    dmap, threads = _matching_threads(monkeypatch, left, right, _SPLIT_PARAMS["ssd"])
     assert threads == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert _matching_threads(monkeypatch, left, right, MatchParams(1, 4, "ssd")) == (dmap, 2)
+    assert _matching_threads(monkeypatch, left, right, _SPLIT_PARAMS["ssd"]) == (dmap, 2)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_frame_above_the_split_threshold_with_one_valid_row_stays_on_one_thread(
+    monkeypatch, method
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    # three rows at radius 1 leave one valid row of 3,998 pixels, each with 4,001 candidates
+    params, w, h = MatchParams(1, 4000, method), 8000, 3
+    assert _split_evals(w, h, params) >= stereo._SPLIT_EVALS
+    master = np.random.default_rng(9).integers(0, 256, size=(h, w + 5))
+    dmap, threads = _matching_threads(monkeypatch, master[:, :w], master[:, 5:], params)
+    assert threads == 1
+    assert dmap.valid[1, 4001:-1].all() and dmap.valid.sum() == w - 4002
+    assert set(dmap.disparities[dmap.valid].tolist()) == {5}
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
@@ -587,8 +611,8 @@ def test_a_split_match_leaves_no_thread_running_and_raises_what_either_thread_ra
     monkeypatch, failing
 ):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    left, right = (GrayImage(p) for p in _shifted_noisy_pair(640, 420, 3, seed=2))
-    params = MatchParams(1, 4, "ssd")
+    left, right = (GrayImage(p) for p in _shifted_noisy_pair(640, 480, 3, seed=2))
+    params = _SPLIT_PARAMS["ssd"]
     before = threading.active_count()
     compute_disparity(left, right, params)
     assert threading.active_count() == before

@@ -26,8 +26,9 @@ metrics line) in every tree; the tool exits with an error otherwise.
 A record holds one tree's runs: the median and quartiles of each stage, in
 how many runs each stage was faster than in the first tree's run next to
 it, the sizes and parameters, a digest of the outputs, and the Python
-version, numpy version and core count. Each run starts after a garbage
-collection. A record is the median of at least 5 runs, so with `--runs`
+version, numpy version, core count and the number of CPUs the process may
+run on (its affinity), which decides whether the matcher uses two threads.
+Each run starts after a garbage collection. A record is the median of at least 5 runs, so with `--runs`
 below 5 the tool checks the bytes and prints the timings but writes no
 record. Records already in the file under other labels are kept, so
 before and after records can sit side by side.
@@ -59,6 +60,12 @@ WIDTH, HEIGHT, SHIFT, SEED = 640, 480, 7, 0
 MATCH = {"method": "ssd", "radius": 3, "max_disparity": 64}
 DEPTH = {"focal_length": 100.0, "baseline": 0.5}
 MIN_RECORD_RUNS = 5
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which decide whether the matcher splits a frame."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def write_pair(left_path: Path, right_path: Path):
@@ -154,6 +161,7 @@ def main(argv=None) -> int:
             "params": {**MATCH, **DEPTH, "ssim_window_side": 8}, "runs": args.runs,
             "stages": stages, "outputs_sha256": outputs_sha256,
             "python": platform.python_version(), "numpy": numpy.__version__, "cpu_count": os.cpu_count(),
+            "usable_cpus": usable_cpus(),
         })
         print(f"{label}: " + ", ".join(
             f"{stage} {s['median_s'] * 1e3:.2f} ms" for stage, s in stages.items()), file=sys.stderr)
