@@ -409,12 +409,10 @@ def disparity_to_depth(dmap: DisparityMap, focal_length: float, baseline: float)
             f"focal_length * baseline must be finite and positive, got {focal_length} * {baseline}"
         )
     available = dmap.valid & (dmap.disparities > 0)
-    depths = np.full(dmap.disparities.shape, np.nan)
-    depths[available] = scale / dmap.disparities[available]
+    depths = np.divide(scale, dmap.disparities, out=np.full(available.shape, np.nan), where=available)
     depths.setflags(write=False)
-    avail = available.copy()
-    avail.setflags(write=False)
-    return DepthMap(depths, avail, float(focal_length), float(baseline))
+    available.setflags(write=False)
+    return DepthMap(depths, available, float(focal_length), float(baseline))
 
 
 def scale_to_gray(dmap: DisparityMap) -> GrayImage:
@@ -479,8 +477,9 @@ def _parse_sidecar(buf: bytes, magic: bytes, record: np.dtype):
     return width, height, max_disparity, np.frombuffer(buf, record, count, _HEADER.size)
 
 
-def _checked_map(records: np.ndarray, repeats, shape, max_disparity: int) -> DisparityMap:
-    """The row-major map that repeats each record repeats times, once the records are checked."""
+def _checked_map(records: np.ndarray, shape, max_disparity: int, runs=None) -> DisparityMap:
+    """The row-major map of the records, each repeated runs times if given,
+    once the records are checked."""
     disp, valid = records["disparity"], records["valid"]
     if disp.size and int(disp.max()) > max_disparity:
         raise DisparityFormatError(
@@ -488,11 +487,10 @@ def _checked_map(records: np.ndarray, repeats, shape, max_disparity: int) -> Dis
         )
     if valid.size and int(valid.max()) > 1:
         raise DisparityFormatError(f"valid flag {int(valid.max())} is neither 0 nor 1")
-    return DisparityMap._trusted(
-        np.repeat(disp.astype(np.int32), repeats).reshape(shape),
-        np.repeat(valid.astype(bool), repeats).reshape(shape),
-        max_disparity,
-    )
+    disp, valid = disp.astype(np.int32), valid.astype(bool)
+    if runs is not None:
+        disp, valid = np.repeat(disp, runs), np.repeat(valid, runs)
+    return DisparityMap._trusted(disp.reshape(shape), valid.reshape(shape), max_disparity)
 
 
 def parse_disparity(data: bytes) -> DisparityMap:
@@ -505,7 +503,7 @@ def parse_disparity(data: bytes) -> DisparityMap:
         raise DisparityFormatError(f"pixel records truncated: need {need} bytes, have {have}")
     if have > need:
         raise DisparityFormatError(f"{have - need} trailing bytes after last pixel")
-    return _checked_map(records, 1, (height, width), max_disparity)
+    return _checked_map(records, (height, width), max_disparity)
 
 
 def _rle_runs(dmap: DisparityMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -579,4 +577,4 @@ def rle_decode_disparity(data: bytes) -> DisparityMap:
         raise DisparityFormatError(f"run records truncated at byte offset {pos}")
     if pos != len(buf):
         raise DisparityFormatError(f"{len(buf) - pos} trailing bytes after last row")
-    return _checked_map(records, runs, (height, width), max_disparity)
+    return _checked_map(records, (height, width), max_disparity, runs)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import stereosim
+import stereosim.cli as cli_mod
 from stereosim import (
     DepthMap,
     DisparityMap,
@@ -316,8 +318,6 @@ def test_calls_that_share_one_parser_stay_independent(tmp_path, capsys):
 
 
 def test_a_wrapper_set_on_a_command_after_the_parser_is_built_runs(tmp_path, monkeypatch):
-    import stereosim.cli as cli_mod
-
     left, right = write_pair(tmp_path)  # builds the parser first
     calls = []
 
@@ -378,6 +378,62 @@ def test_depth_json_matches_per_pixel_writer(case, overrides):
         depths.flat[i % depths.size] = value
     depth = DepthMap(depths, depth.available, depth.focal_length, depth.baseline)
     assert "".join(_depth_json(dmap, depth)) == naive_depth_json(dmap, depth) + "\n"
+
+
+@st.composite
+def run_structured_depths(draw):
+    """A map laid row-major from a repeated pattern of runs of 1 to 3K
+    equal pixels, cut at row ends, from one row to over two bands tall, and
+    its depths with some replaced, the last pixel's among them if drawn."""
+    k, band = cli_mod._RUN_PIECE, cli_mod._BAND_ROWS
+    w = draw(st.integers(1, 3 * k + 2))
+    h = draw(st.sampled_from([1, 2, band - 1, band, band + 1, 2 * band + 3]))
+    maxd = draw(st.integers(0, 5))
+    # a disparity of -1 marks an invalid run; a pattern of one run covers the whole map
+    pattern = draw(st.lists(st.tuples(st.integers(1, 3 * k), st.integers(-1, maxd)), min_size=1, max_size=8))
+    flat = np.concatenate([np.full(n, v) for n, v in pattern])
+    flat = np.resize(flat, h * w).reshape(h, w)
+    dmap = DisparityMap(np.maximum(flat, 0), flat >= 0, maxd)
+    depth = disparity_to_depth(dmap, *draw(st.sampled_from([(100.0, 0.5), (3.0, 1e-3)])))
+    depths = depth.depths.copy()
+    for i, value in draw(st.lists(st.tuples(st.integers(0, h * w - 1), st.floats()), max_size=4)):
+        depths.flat[i] = value
+    if draw(st.booleans()):
+        depths.flat[-1] = draw(st.floats())
+    return dmap, DepthMap(depths, depth.available, depth.focal_length, depth.baseline)
+
+
+_TALL = DisparityMap(np.full((300, 9), 4), np.ones((300, 9), bool), 4)  # one run over three bands
+_TWOS = DisparityMap(np.full((2, 9), 2), np.ones((2, 9), bool), 2)
+# pixels 1, 9 and 17 are off f*B/d: inside a long run, and the last pixel
+_TWOS_ODD = DepthMap(np.where(np.arange(18).reshape(2, 9) % 8 == 1, 2.5, 25.0), _TWOS.valid, 100.0, 0.5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_structured_depths())
+@example((_TALL, disparity_to_depth(_TALL, 100.0, 0.5)))
+@example((_TWOS, _TWOS_ODD))
+def test_depth_json_of_run_structured_maps_matches_per_pixel_writer(case):
+    dmap, depth = case
+    assert "".join(_depth_json(dmap, depth)) == naive_depth_json(dmap, depth) + "\n"
+
+
+def test_depth_out_renders_a_token_only_for_each_disparity_present(tmp_path, monkeypatch):
+    dumped = []
+
+    def dumps(value, **kwargs):
+        dumped.append(value)
+        return json.dumps(value, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "json", SimpleNamespace(dumps=dumps))
+    dmap = DisparityMap([[3, 65535]], [[True, True]], 65535)
+    sidecar, out = tmp_path / "d.dsp", tmp_path / "depth.json"
+    sidecar.write_bytes(serialize_disparity(dmap))
+    code = run_cli("depth", str(sidecar), "--focal-length", "100", "--baseline", "0.5",
+                   "--out", str(out))
+    assert code == 0
+    assert [v for v in dumped if not isinstance(v, dict)] == [50.0 / 3, 50.0 / 65535]
+    assert out.read_text() == naive_depth_json(dmap, disparity_to_depth(dmap, 100.0, 0.5)) + "\n"
 
 
 def test_bench_csv_shape(tmp_path, capsys):
@@ -670,8 +726,6 @@ def test_fuzzed_input_file_exits_zero_or_two_without_traceback(case):
 
 
 def test_internal_error_exits_one(tmp_path, capsys, monkeypatch):
-    import stereosim.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise RuntimeError("matcher exploded")
 

@@ -320,6 +320,21 @@ def test_sidecar_round_trip_randomized():
         assert parse_disparity(serialize_disparity(dmap)) == dmap
 
 
+@pytest.mark.parametrize(
+    "encode, decode",
+    [(serialize_disparity, parse_disparity), (rle_encode_disparity, rle_decode_disparity)],
+    ids=["dsp1", "dsr1"],
+)
+def test_a_map_decoded_from_a_bytearray_is_its_own_after_the_buffer_changes(encode, decode):
+    dmap = DisparityMap([[1, 0, 3], [2, 2, 0]], [[True, False, True], [True, True, False]], 3)
+    data = bytearray(encode(dmap))
+    decoded = decode(data)
+    data[16:] = b"\x01" * (len(data) - 16)
+    assert decoded == dmap
+    for values, dtype in ((decoded.disparities, np.int32), (decoded.valid, np.bool_)):
+        assert values.dtype == dtype and not values.flags.writeable
+
+
 def test_sidecar_error_cases():
     with pytest.raises(DisparityFormatError, match="magic"):
         parse_disparity(b"XXXX" + bytes(12))

@@ -15,19 +15,27 @@ shifted by 7 pixels:
   --max-disparity 64 --out PREFIX`, which writes PREFIX.pgm and PREFIX.dsp;
 - depth: `stereosim depth PREFIX.dsp --focal-length 100 --baseline 0.5
   --out DEPTH.json`;
+- depth_short_runs: the same `depth --out` on a map of short runs, which
+  `stereosim disparity LEFT OTHER --method sad --radius 1 --max-disparity 64`
+  writes, untimed, from the left frame and an unrelated seeded frame
+  (its mean run is ~1.4 pixels, against ~215 on the shifted pair);
 - metrics: `stereosim metrics LEFT PREFIX.pgm --json`;
 - compute_disparity: the matcher alone, on the parsed pair;
 - ssim: ssim alone, on the left frame and the parsed gray map.
 
-These are the commands and sizes of the benchmark's `cli-files` workload.
-Every run must write the same bytes (both map files, the depth JSON and the
-metrics line) in every tree; the tool exits with an error otherwise.
+The first three are the commands and sizes of the benchmark's `cli-files`
+workload. Every run must write the same bytes (both map files, the depth
+JSON and the metrics line, and the short-run map and its depth JSON) in
+every tree; the tool exits with an error otherwise.
 
 A record holds one tree's runs: the median and quartiles of each stage, in
 how many runs each stage was faster than in the first tree's run next to
-it, the sizes and parameters, a digest of the outputs, and the Python
-version, numpy version, core count and the number of CPUs the process may
-run on (its affinity), which decides whether the matcher uses two threads.
+it, the sizes and parameters, the mean run length of both maps, the traced
+peak (tracemalloc) of rendering and writing each depth JSON, once after the
+timed runs, a digest of the outputs and one of the short-run outputs, and
+the Python version, numpy version, core count and the number of CPUs the
+process may run on (its affinity), which decides whether the matcher uses
+two threads.
 Each run starts after a garbage collection. A record is the median of at least 5 runs, so with `--runs`
 below 5 the tool checks the bytes and prints the timings but writes no
 record. Records already in the file under other labels are kept, so
@@ -48,6 +56,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy
@@ -58,6 +67,7 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_cli.json"
 WIDTH, HEIGHT, SHIFT, SEED = 640, 480, 7, 0
 MATCH = {"method": "ssd", "radius": 3, "max_disparity": 64}
+SHORT_RUNS = {"method": "sad", "radius": 1, "max_disparity": 64, "other_seed": SEED + 1}
 DEPTH = {"focal_length": 100.0, "baseline": 0.5}
 MIN_RECORD_RUNS = 5
 
@@ -68,22 +78,51 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def write_pair(left_path: Path, right_path: Path):
-    """A seeded random texture and its view shifted by SHIFT, as binary PGM files."""
-    rng = numpy.random.default_rng(SEED)
-    master = rng.integers(0, 256, size=(HEIGHT, WIDTH + SHIFT), dtype=numpy.uint8)
+def write_frames(tmp: Path):
+    """A seeded random texture, its view shifted by SHIFT and an unrelated
+    seeded frame, as binary PGM files left, right and other."""
+    master = numpy.random.default_rng(SEED).integers(0, 256, size=(HEIGHT, WIDTH + SHIFT), dtype=numpy.uint8)
+    other = numpy.random.default_rng(SHORT_RUNS["other_seed"]).integers(0, 256, size=(HEIGHT, WIDTH), dtype=numpy.uint8)
     header = b"P5\n%d %d\n255\n" % (WIDTH, HEIGHT)
-    left_path.write_bytes(header + master[:, :WIDTH].tobytes())
-    right_path.write_bytes(header + master[:, SHIFT:].tobytes())
+    for name, frame in (("left", master[:, :WIDTH]), ("right", master[:, SHIFT:]), ("other", other)):
+        (tmp / f"{name}.pgm").write_bytes(header + frame.tobytes())
 
 
-def run(modules, tmp: Path, samples: dict) -> str:
-    """One timed run of every stage; returns the digest of the bytes it wrote and printed."""
+def mean_run(dmap) -> float:
+    """The mean length of the map's runs of equal disparity and validity within a row."""
+    d, v = dmap.disparities, dmap.valid
+    runs = d.shape[0] + numpy.count_nonzero((d[:, 1:] != d[:, :-1]) | (v[:, 1:] != v[:, :-1]))
+    return d.size / runs
+
+
+def traced_peak_mib(cli, stereo, sidecar: Path, out: Path) -> float:
+    """The tracemalloc peak of rendering and writing the depth JSON of sidecar."""
+    dmap = stereo.parse_disparity(sidecar.read_bytes())
+    depth = stereo.disparity_to_depth(dmap, DEPTH["focal_length"], DEPTH["baseline"])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with open(out, "w") as f:
+            f.writelines(cli._depth_json(dmap, depth))
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def depth_argv(sidecar: Path, out: Path) -> list[str]:
+    return ["depth", str(sidecar), "--focal-length", str(DEPTH["focal_length"]),
+            "--baseline", str(DEPTH["baseline"]), "--out", str(out)]
+
+
+def run(modules, tmp: Path, samples: dict) -> tuple[str, str]:
+    """One timed run of every stage; returns the digests of the bytes it
+    wrote and printed, and of the short-run map and its depth JSON."""
     cli, imaging, stereo, metrics = modules
-    left, right = tmp / "left.pgm", tmp / "right.pgm"
+    left, right, other = tmp / "left.pgm", tmp / "right.pgm", tmp / "other.pgm"
     prefix, depth = tmp / "disp", tmp / "depth.json"
     gray, sidecar = prefix.with_suffix(".pgm"), prefix.with_suffix(".dsp")
-    for stale in (gray, sidecar, depth):
+    short, short_depth = tmp / "short", tmp / "short_depth.json"
+    for stale in (gray, sidecar, depth, short.with_suffix(".dsp"), short_depth):
         stale.unlink(missing_ok=True)
 
     def timed(stage, fn, *args):
@@ -97,11 +136,17 @@ def run(modules, tmp: Path, samples: dict) -> str:
         "disparity": ["disparity", str(left), str(right), "--method", MATCH["method"],
                       "--radius", str(MATCH["radius"]), "--max-disparity", str(MATCH["max_disparity"]),
                       "--out", str(prefix)],
-        "depth": ["depth", str(sidecar), "--focal-length", str(DEPTH["focal_length"]),
-                  "--baseline", str(DEPTH["baseline"]), "--out", str(depth)],
+        "depth": depth_argv(sidecar, depth),
+        "depth_short_runs": depth_argv(short.with_suffix(".dsp"), short_depth),
         "metrics": ["metrics", str(left), str(gray), "--json"],
     }
+    short_argv = ["disparity", str(left), str(other), "--method", SHORT_RUNS["method"],
+                  "--radius", str(SHORT_RUNS["radius"]), "--max-disparity", str(SHORT_RUNS["max_disparity"]),
+                  "--out", str(short)]
     with contextlib.redirect_stdout(out):
+        code = cli.main(short_argv)  # untimed: it only makes the short-run map
+        if code != 0:
+            raise SystemExit(f"the short-run disparity exited with code {code}")
         for stage, argv in commands.items():
             code = timed(stage, cli.main, argv)
             if code != 0:
@@ -115,10 +160,15 @@ def run(modules, tmp: Path, samples: dict) -> str:
         raise SystemExit("the matcher's map differs from the one disparity wrote")
     if json.loads(metrics_line)["ssim"] != score.value:
         raise SystemExit("ssim differs from the score metrics printed")
-    digest = hashlib.sha256()
-    for part in (gray.read_bytes(), sidecar.read_bytes(), depth.read_bytes(), metrics_line.encode()):
-        digest.update(hashlib.sha256(part).digest())
-    return digest.hexdigest()
+    return digest(gray.read_bytes(), sidecar.read_bytes(), depth.read_bytes(), metrics_line.encode()), digest(
+        short.with_suffix(".dsp").read_bytes(), short_depth.read_bytes())
+
+
+def digest(*parts: bytes) -> str:
+    total = hashlib.sha256()
+    for part in parts:
+        total.update(hashlib.sha256(part).digest())
+    return total.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -137,15 +187,22 @@ def main(argv=None) -> int:
     samples = {label: {} for label in modules}
     labels, digests = list(modules), {label: set() for label in modules}
     with tempfile.TemporaryDirectory() as tmp:
-        write_pair(Path(tmp) / "left.pgm", Path(tmp) / "right.pgm")
+        tmp = Path(tmp)
+        write_frames(tmp)
         for i in range(args.runs + 1):
             for label in labels if i % 2 == 0 else labels[::-1]:
                 gc.collect()
-                digests[label].add(run(modules[label], Path(tmp), samples[label] if i else {}))
+                digests[label].add(run(modules[label], tmp, samples[label] if i else {}))
+        maps = {"depth": tmp / "disp.dsp", "depth_short_runs": tmp / "short.dsp"}
+        parse = modules[labels[0]][2].parse_disparity
+        mean_runs = {stage: mean_run(parse(path.read_bytes())) for stage, path in maps.items()}
+        peaks = {label: {stage: traced_peak_mib(cli, stereo, path, tmp / "traced.json")
+                         for stage, path in maps.items()}
+                 for label, (cli, _, stereo, _) in modules.items()}
     found = set().union(*digests.values())
     if len(found) > 1:
         raise SystemExit(f"outputs differ between runs or trees: {sorted(map(sorted, digests.values()))}")
-    (outputs_sha256,) = found
+    ((outputs_sha256, short_runs_sha256),) = found
 
     records = []
     first = samples[labels[0]]
@@ -158,13 +215,15 @@ def main(argv=None) -> int:
                              f"runs_faster_than_{labels[0]}": wins}
         records.append({
             "label": label, "sizes": {"width": WIDTH, "height": HEIGHT, "shift": SHIFT, "seed": SEED},
-            "params": {**MATCH, **DEPTH, "ssim_window_side": 8}, "runs": args.runs,
-            "stages": stages, "outputs_sha256": outputs_sha256,
+            "params": {**MATCH, **DEPTH, "ssim_window_side": 8, "short_runs": SHORT_RUNS}, "runs": args.runs,
+            "stages": stages, "mean_run_px": mean_runs, "traced_peak_mib": peaks[label],
+            "outputs_sha256": outputs_sha256, "short_runs_sha256": short_runs_sha256,
             "python": platform.python_version(), "numpy": numpy.__version__, "cpu_count": os.cpu_count(),
             "usable_cpus": usable_cpus(),
         })
         print(f"{label}: " + ", ".join(
-            f"{stage} {s['median_s'] * 1e3:.2f} ms" for stage, s in stages.items()), file=sys.stderr)
+            f"{stage} {s['median_s'] * 1e3:.2f} ms" for stage, s in stages.items()) + "; traced peak " + ", ".join(
+            f"{stage} {mib:.2f} MiB" for stage, mib in peaks[label].items()), file=sys.stderr)
 
     if args.runs < MIN_RECORD_RUNS:
         print(f"fewer than {MIN_RECORD_RUNS} runs: no record written", file=sys.stderr)
