@@ -30,6 +30,7 @@ from .stereo import (
     DepthMap,
     DisparityMap,
     MatchParams,
+    _row_runs,
     compute_disparity,
     disparity_to_depth,
     parse_disparity,
@@ -138,8 +139,11 @@ def cmd_disparity(args) -> int:
     dmap, stats = compute_disparity(left, right, params)
     gray_path = Path(f"{args.out}.pgm")
     sidecar_path = Path(f"{args.out}.dsp")
-    gray_path.write_bytes(serialize_pgm(scale_to_gray(dmap)))
-    sidecar_path.write_bytes(serialize_disparity(dmap))
+    # both encodings are built, and every error raised, before either file is opened
+    gray = serialize_pgm(scale_to_gray(dmap))
+    sidecar = serialize_disparity(dmap)
+    gray_path.write_bytes(gray)
+    sidecar_path.write_bytes(sidecar)
     print(f"wrote {gray_path} and {sidecar_path}")
     print(f"elementary_ops={stats.elementary_ops} wall_time_s={stats.wall_time}")
     return 0
@@ -226,11 +230,7 @@ def _depth_runs(dmap: DisparityMap, depth: DepthMap) -> tuple[np.ndarray, np.nda
     each run's flat start, key and depth, row-major."""
     depths = depth.depths.ravel()
     key = np.where(depth.available, dmap.disparities, -1).ravel()
-    begins = np.empty(key.size, bool)
-    np.not_equal(key[1:], key[:-1], out=begins[1:])
-    begins[1:] |= depths.view(np.uint64)[1:] != depths.view(np.uint64)[:-1]
-    begins[:: dmap.width] = True  # every row opens a run
-    starts = np.flatnonzero(begins)
+    starts = _row_runs(dmap.width, key, depths.view(np.uint64))
     return starts, key[starts], depths[starts]
 
 

@@ -887,9 +887,11 @@ def load_scenario(path: Path | str) -> Scenario:
     """Read and build a scenario file; frame paths resolve beside it."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_bytes())
     except RecursionError:
         raise ScenarioError(["$: nested too deeply to parse"]) from None
+    except ValueError as exc:  # not JSON, or not in a Unicode encoding
+        raise ScenarioError([f"$: not valid JSON: {exc}"]) from None
     return scenario_from_dict(data, base_dir=path.parent)
 
 

@@ -506,6 +506,21 @@ def parse_disparity(data: bytes) -> DisparityMap:
     return _checked_map(records, (height, width), max_disparity)
 
 
+def _row_runs(width: int, *flat_keys: np.ndarray) -> np.ndarray:
+    """The flat start of every maximal run of pixels, within a row of width
+    pixels, that are equal in every one of the row-major flat_keys.
+
+    Every row opens a run, so no run spans a row boundary.
+    """
+    first, *rest = flat_keys
+    begins = np.empty(first.size, dtype=bool)
+    np.not_equal(first[1:], first[:-1], out=begins[1:])
+    for key in rest:
+        begins[1:] |= key[1:] != key[:-1]
+    begins[::width] = True
+    return np.flatnonzero(begins)
+
+
 def _rle_runs(dmap: DisparityMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every maximal run of equal (disparity, valid) within a row.
 
@@ -513,11 +528,8 @@ def _rle_runs(dmap: DisparityMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     records it takes: runs longer than 65535 split into full records plus
     the remainder. This is the run rule of the DSR1 format.
     """
-    d, v = dmap.disparities, dmap.valid
-    begins = np.ones(d.shape, dtype=bool)
-    begins[:, 1:] = (d[:, 1:] != d[:, :-1]) | (v[:, 1:] != v[:, :-1])
-    starts = np.flatnonzero(begins)
-    # every row opens a run, so no run spans a row boundary
+    d = dmap.disparities
+    starts = _row_runs(dmap.width, d.ravel(), dmap.valid.ravel())
     lengths = np.diff(starts, append=d.size)
     return starts, lengths, (lengths + _MAX_RUN - 1) // _MAX_RUN
 

@@ -191,6 +191,17 @@ def test_disparity_on_shifted_pair_renders_scaled_constant(tmp_path):
     assert np.all(gray.pixels[dmap.valid] == 128)  # round(255 * 2 / 4)
 
 
+def test_disparity_that_cannot_encode_its_sidecar_writes_no_file(tmp_path, capsys, monkeypatch):
+    left_path, right_path = write_pair(tmp_path, size=8)
+    capsys.readouterr()
+    dmap = DisparityMap(np.zeros((1, 1), np.int32), np.ones((1, 1), bool), 70000)
+    monkeypatch.setattr(cli_mod, "compute_disparity", lambda left, right, params: (dmap, None))
+    code = run_cli("disparity", str(left_path), str(right_path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert capsys.readouterr().err == "error: max_disparity 70000 exceeds the 16-bit sidecar range\n"
+    assert not (tmp_path / "o.pgm").exists() and not (tmp_path / "o.dsp").exists()
+
+
 def test_missing_file_exits_two_and_names_path(tmp_path, capsys):
     code = run_cli("disparity", str(tmp_path / "nope.pgm"), str(tmp_path / "nope.pgm"),
                    "--out", str(tmp_path / "x"))
@@ -591,7 +602,7 @@ def _replaced(path, value):
     "build, message",
     [
         (lambda doc: b"", "Expecting value"),
-        (lambda doc: b"\xff\xfe{", "error:"),  # the decoding error depends on the locale
+        (lambda doc: b"\xff\xfe{", "$: not valid JSON"),
         (lambda doc: b"[" * 100_000 + b"]" * 100_000, "$: nested too deeply to parse"),
         (
             _replaced(("pairs", 0, "frames", "synthetic", "steps"), 10**30),

@@ -815,6 +815,24 @@ def test_scenario_missing_frame_file_is_reported(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize(
+    "data, finding",
+    [
+        (b"", "Expecting value"),
+        (b"{bad", "Expecting property name"),
+        (b"\xff\xfe{", "codec can't decode"),
+    ],
+    ids=["empty", "not-json", "not-unicode"],
+)
+def test_scenario_bytes_that_are_not_json_raise_scenario_error(tmp_path, data, finding):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    [error] = info.value.errors
+    assert error.startswith("$: not valid JSON: ") and finding in error
+
+
 def test_equal_frame_specs_share_frame_objects():
     scenario = load_scenario(GOLDEN / "shared_frames.scenario.json")
     by_pair = {(p.left_node, p.right_node): p.frames for p in scenario.pairs}
