@@ -11,7 +11,6 @@ import math
 import os
 import struct
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,11 +194,10 @@ class CostStats:
 
     elementary_ops is the nominal count of per-pixel difference evaluations,
     valid_pixels * (max_disparity + 1) * window_side ** 2, regardless of how
-    the aggregation is implemented internally. wall_time is in seconds.
+    the aggregation is implemented internally.
     """
 
     elementary_ops: int
-    wall_time: float
 
 
 def _agg_dtype(method: str, window_side: int) -> type:
@@ -325,7 +323,8 @@ def compute_disparity(
     of the absolute (sad) or squared (ssd) difference between left(x, y) and
     right(x - d, y). Ties break toward the smallest d.
     Border pixels whose windows cannot be evaluated at every candidate
-    disparity are marked invalid. The result is bit-identical across runs.
+    disparity are marked invalid. Calls on equal inputs return equal maps
+    and stats: the matcher keeps no clock, so a caller times the call.
 
     A match of at least _SPLIT_EVALS cost evaluations over two or more
     valid rows runs on two threads when the process may run on two CPUs: a
@@ -337,7 +336,6 @@ def compute_disparity(
     findings = params.extent_findings(left.width, left.height, "image")
     if findings:
         raise ValueError(findings[0])
-    t0 = time.perf_counter()
 
     h, w = left.height, left.width
     r = params.window_radius
@@ -387,9 +385,7 @@ def compute_disparity(
         valid[row0:row1, col0:col1] = True
 
     ops = n_valid * (dmax + 1) * params.window_side**2
-    dmap = DisparityMap._trusted(disp, valid, dmax)
-    wall = time.perf_counter() - t0
-    return dmap, CostStats(ops, wall)
+    return DisparityMap._trusted(disp, valid, dmax), CostStats(ops)
 
 
 def disparity_to_depth(dmap: DisparityMap, focal_length: float, baseline: float) -> DepthMap:

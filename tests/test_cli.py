@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -479,6 +480,37 @@ def test_bench_output_is_stable_except_timing(capsys):
     assert drop_timing(first) == drop_timing(second)
 
 
+def test_bench_builds_each_pair_once_and_alternates_the_methods(monkeypatch):
+    pairs, calls = [], []
+
+    def recording_pair(*args):
+        pair = shifted_pair(*args)
+        pairs.append(((args[0], args[1]), pair))
+        return pair
+
+    def recording_match(left, right, params):
+        calls.append((left, right, params.method))
+        return compute_disparity(left, right, params)
+
+    monkeypatch.setattr(cli_mod, "shifted_pair", recording_pair)
+    monkeypatch.setattr(cli_mod, "compute_disparity", recording_match)
+    sizes, reps = [(16, 16), (24, 20), (16, 16)], 3
+    records = cli_mod.bench_records(sizes, 1, 4, reps, seed=7)
+
+    assert [size for size, _ in pairs] == sizes
+    per_size = 2 * (1 + reps)
+    assert len(calls) == len(sizes) * per_size
+    for i, (_, (left, right)) in enumerate(pairs):
+        chunk = calls[i * per_size : (i + 1) * per_size]
+        assert all(a is left and b is right for a, b, _ in chunk)
+        # a warm-up of each method, then the two methods in turn at every repetition
+        assert [method for _, _, method in chunk] == ["sad", "ssd"] * (1 + reps)
+    assert [(r.method, r.width, r.height) for r in records] == [
+        (method, w, h) for method in ("sad", "ssd") for w, h in sizes
+    ]
+    assert all(r.repetitions == reps and r.median_seconds > 0 for r in records)
+
+
 def test_bench_rejects_too_few_reps(capsys):
     assert run_cli("bench", "--sizes", "16x16", "--reps", "2") == 2
     assert "repetitions" in capsys.readouterr().err
@@ -769,3 +801,13 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "ssim=1.0" in proc.stdout
+
+
+def test_module_entry_point_in_process(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "img.pgm"
+    p.write_bytes(serialize_pgm(texture(16, 16, seed=2)))
+    monkeypatch.setattr(sys, "argv", ["stereosim", "metrics", str(p), str(p)])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("stereosim", run_name="__main__")
+    assert info.value.code == 0
+    assert "ssim=1.0" in capsys.readouterr().out

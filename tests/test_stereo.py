@@ -104,10 +104,12 @@ def test_params_checked_against_image():
 
 def test_deterministic_repeat_runs():
     left, right = shifted_pair(20, 14, 3, seed=5)
-    params = MatchParams(2, 5, "sad")
-    a, _ = compute_disparity(left, right, params)
-    b, _ = compute_disparity(left, right, params)
-    assert a == b
+    for method in METHODS:
+        params = MatchParams(2, 5, method)
+        a, a_stats = compute_disparity(left, right, params)
+        b, b_stats = compute_disparity(left, right, params)
+        assert a == b
+        assert a_stats == b_stats
 
 
 def test_elementary_ops_closed_form():
