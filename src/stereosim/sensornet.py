@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -27,6 +27,7 @@ from .stereo import (
     MatchParams,
     compute_disparity,
     rle_encode_disparity,  # noqa: F401  (the simulator charges rle_num_bytes; kept importable here)
+    rle_max_bytes,
     rle_num_bytes,
     sidecar_num_bytes,
 )
@@ -315,6 +316,11 @@ def charge_transmission(
 
 def validate_scenario(scenario: Scenario) -> list[str]:
     """Every validation finding, each prefixed with the offending location."""
+    return _validate(scenario)[0]
+
+
+def _validate(scenario: Scenario) -> tuple[list[str], dict[int, tuple[int, ...]] | None]:
+    """validate_scenario's findings, and _route_table's routes (None without exactly one sink)."""
     errors: list[str] = []
     ids: dict[int, SensorNode] = {}
     for i, node in enumerate(scenario.nodes):
@@ -343,8 +349,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         errors.append(f"event_threshold: must be >= 0, got {scenario.event_threshold}")
 
     seen_pairs = set()
-    # (left, right) frame objects, by identity, that passed against a step-0 size
+    # (left, right) frame objects, by identity, that passed against a step-0 size,
+    # and the step-0 sizes and frame tuples, by identity, of pairs whose every frame passed
     passed: set[tuple[int, int, int, int]] = set()
+    passed_runs: set[tuple[int, ...]] = set()
     for i, pair in enumerate(scenario.pairs):
         where = f"pairs[{i}]"
         ok_nodes = True
@@ -368,26 +376,31 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             errors.append(f"{where}.frames: at least one step is required")
             continue
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
-        for t, (lf, rf) in enumerate(pair.frames):
-            checked = (id(lf), id(rf), w, h)
-            if checked in passed:
-                continue
-            found = len(errors)
-            try:
-                _require_same_dims(lf, rf, "left", "right")
-            except ValueError as exc:
-                errors.append(f"{where}.frames[{t}]: {exc}")
-            if (lf.width, lf.height) != (w, h):
-                errors.append(
-                    f"{where}.frames[{t}]: {lf.width}x{lf.height} differs from step 0 ({w}x{h})"
-                )
-            if len(errors) == found:
-                passed.add(checked)
+        run = (w, h, *map(id, pair.frames))
+        if run not in passed_runs:
+            run_found = len(errors)
+            for t, (lf, rf) in enumerate(pair.frames):
+                checked = (id(lf), id(rf), w, h)
+                if checked in passed:
+                    continue
+                found = len(errors)
+                try:
+                    _require_same_dims(lf, rf, "left", "right")
+                except ValueError as exc:
+                    errors.append(f"{where}.frames[{t}]: {exc}")
+                if (lf.width, lf.height) != (w, h):
+                    errors.append(
+                        f"{where}.frames[{t}]: {lf.width}x{lf.height} differs from step 0 ({w}x{h})"
+                    )
+                if len(errors) == found:
+                    passed.add(checked)
+            if len(errors) == run_found:
+                passed_runs.add(run)
         for finding in pair.match_params.extent_findings(w, h, "frame"):
             errors.append(f"{where}.match: {finding}")
         if ok_nodes and routes is not None and pair.left_node not in routes:
             errors.append(f"{where}: node {pair.left_node} has no route to sink {next(iter(routes))}")
-    return errors
+    return errors, routes
 
 
 def _perceive(
@@ -396,6 +409,31 @@ def _perceive(
     """Match one frame pair: its map, nominal elementary_ops and RLE payload bytes."""
     dmap, stats = compute_disparity(left, right, params)
     return dmap, stats.elementary_ops, rle_num_bytes(dmap)
+
+
+def _fold(ufunc: np.ufunc, start: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each start[r] with every values[i] whose rows[i] is r folded in by ufunc, in index order.
+
+    rows ascends. ufunc.accumulate is sequential, so each result has the bits
+    of the loop `x = ufunc(x, v)`, which the pairwise order of np.sum would
+    not give. Rows with equally many values are folded as one block.
+    """
+    out = start.copy()
+    counts = np.bincount(rows, minlength=len(start))
+    ends = np.cumsum(counts)
+    for n in sorted(set(counts[counts > 0].tolist())):
+        sel = np.flatnonzero(counts == n)
+        block = np.empty((len(sel), n + 1))
+        block[:, 0] = start[sel]
+        block[:, 1:] = values[(ends[sel] - n)[:, None] + np.arange(n)]
+        out[sel] = ufunc.accumulate(block, axis=1)[:, -1]
+    return out
+
+
+# A death-free run is charged in windows of at most this many charge slots
+# (pair-steps times slots per pair), which bounds the window's arrays and the
+# rounding its proof allows for.
+_RUN_SLOTS = 1 << 16
 
 
 def run_simulation(scenario: Scenario) -> SimReport:
@@ -409,34 +447,48 @@ def run_simulation(scenario: Scenario) -> SimReport:
     minimum-hop route to the sink. Dead nodes neither process nor transmit;
     payloads blocked by a dead origin or relay are recorded as drops.
 
-    Perception is pure, so equal (left frame, right frame, match params)
-    inputs are matched once: a result is reused while some pair's most
-    recent step used it. Every executed pair-step still pays its energy and
-    counts its nominal elementary_ops.
+    Pairs whose frame tuples are the same objects at every step and whose
+    match params are equal form a group. A pair executes a prefix of its
+    steps, so every member executing a step saw the group's previous map:
+    the step's map, RLE size, event and payload are computed once per group,
+    at its first executing member. Perception is pure, so equal (left frame,
+    right frame, match params) inputs are matched once: a result is reused
+    while some group's most recent step used it. Every executed pair-step
+    still pays its energy and counts its nominal elementary_ops.
+
+    Steps that provably drain no battery to 0 and drop nothing are charged
+    as columns: each node's charges in loop order, folded by
+    ufunc.accumulate, which gives the bits of the loop. Every other step is
+    charged one charge at a time, which is where deaths and drops are made.
     """
-    errors = validate_scenario(scenario)
+    errors, routes = _validate(scenario)
     if errors:
         raise ScenarioError(errors)
-    routes = _route_table(scenario)
     model = scenario.energy
     policy, threshold = scenario.policy, scenario.event_threshold
 
-    nodes = {n.id: replace(n) for n in scenario.nodes}
+    nodes = {n.id: SensorNode(n.id, n.role, n.battery) for n in scenario.nodes}
     # a camera or relay with an empty battery is dead before step 1
     reports = {
         n.id: NodeReport(n.id, n.role, n.battery, n.battery,
                          died_at_step=None if n.alive or n.role == "sink" else 0)
         for n in scenario.nodes
     }
+    order = [nodes[nid] for nid in sorted(nodes)]  # a column's row r is order[r]
+    row = {node.id: r for r, node in enumerate(order)}
     # Per pair, in step order, each one object or value for the whole run: its
-    # frames, match params and their spec number, key, report, cameras and
-    # their reports, intra-pair hop (right to left) with the bytes and radio
-    # cost of the frame it carries, and the left camera's processing cost.
-    # Every frame of a pair has the step-0 size (validated), so byte counts
-    # and costs are per-run constants. Equal match params share a spec
-    # number, which the perception key holds, so the params are hashed once
-    # per pair, not at every step.
-    plans, pair_reports, specs = [], [], {}
+    # group, step count, key, report, cameras and their reports, intra-pair hop
+    # (right to left) with the bytes and radio cost of the frame it carries,
+    # the left camera's processing cost, and its route. Every frame of a pair
+    # has the step-0 size (validated), so byte counts and costs are per-run
+    # constants. Equal match params share a spec number, which the group key
+    # holds, so the params are hashed once per pair, not at every step.
+    # A pair's charge slots, in loop order, are the right camera's hop, the
+    # left camera's processing, and a send by each node of its route but the
+    # sink, which are charged at the steps it sends. A slot holds its node's
+    # row, its cost and bytes unless it is a send, its worst-case cost, and
+    # whether the pair has it.
+    plans, pair_reports, specs, groups, sensing, cells = [], [], {}, {}, [], []
     for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
         pr = PairReport(
@@ -450,23 +502,72 @@ def run_simulation(scenario: Scenario) -> SimReport:
             raw_pair_bytes=2 * pgm_num_bytes(pair.frames[0][0]),
         )
         pair_reports.append(pr)
+        spec = specs.setdefault(pair.match_params, len(specs))
+        g = groups.setdefault((spec, tuple(map(id, pair.frames))), len(groups))
+        if g == len(sensing):
+            sensing.append((pair.frames, pair.match_params, spec, pr.raw_pair_bytes))
         frame_bytes = pr.raw_pair_bytes // 2  # both frames weigh the same
+        hop_cost = model.tx_cost(frame_bytes)
+        cpu_cost = model.cpu_cost(pr.raw_pair_bytes + pr.sidecar_bytes)
+        route = routes[pair.left_node]
         plans.append((
-            pair.frames, pair.match_params, specs.setdefault(pair.match_params, len(specs)),
-            (pair.left_node, pair.right_node), pr,
+            g, len(pair.frames), (pair.left_node, pair.right_node), pr,
             nodes[pair.left_node], reports[pair.left_node],
             nodes[pair.right_node], reports[pair.right_node],
-            (pair.right_node, pair.left_node), frame_bytes, model.tx_cost(frame_bytes),
-            model.cpu_cost(pr.raw_pair_bytes + pr.sidecar_bytes),
+            (pair.right_node, pair.left_node), frame_bytes, hop_cost, cpu_cost, route,
         ))
+        send_cost = model.tx_cost(pr.raw_pair_bytes if policy == "raw_always" else rle_max_bytes(w, h))
+        cells.append([(row[pair.right_node], hop_cost, frame_bytes, hop_cost, True),
+                      (row[pair.left_node], cpu_cost, 0, cpu_cost, True)]
+                     + [(row[i], 0.0, 0, send_cost, True) for i in route[:-1]])
+    width = max(map(len, cells), default=2)
+    table = np.array(
+        [slot for c in cells for slot in c + [(0, 0.0, 0, 0.0, False)] * (width - len(c))],
+        dtype=[("row", np.intp), ("cost", float), ("bytes", np.int64), ("worst", float), ("real", bool)],
+    )
+    slot_rows, own_cost, own_bytes, worst, real = (np.ascontiguousarray(table[f]) for f in table.dtype.names)
+    own = np.arange(table.size) % width < 2
+    cpu_slot = np.arange(table.size) % width == 1
+    lengths = np.array([plan[1] for plan in plans], np.intp)
+    window = max(1, _RUN_SLOTS // max(table.size, 1))
 
     events: list[EventRecord] = []
     transmissions: list[TransmissionRecord] = []
     drops: list[DropRecord] = []
-    # each pair's latest map, the event detector's prev
-    last: dict[tuple[int, int], DisparityMap] = {}
+    # each group's latest map, the event detector's prev
+    last: list[DisparityMap | None] = [None] * len(sensing)
     perceived: dict[tuple, tuple[DisparityMap, int, int]] = {}
+    used: dict[tuple, tuple[DisparityMap, int, int]] = {}
     steps = max((len(p.frames) for p in scenario.pairs), default=0)
+
+    def sense(g: int, step: int):
+        """Group g's step: whether its map is new, its ops, RLE bytes, trigger and change, and the
+        (kind, bytes) payload that the policy sends, or None."""
+        frames, params, spec, raw_pair_bytes = sensing[g]
+        lf, rf = frames[step - 1]
+        inputs = (lf, rf, spec)
+        result = used.get(inputs)
+        if result is None:
+            result = used[inputs] = perceived.get(inputs) or _perceive(lf, rf, params)
+        dmap, ops, rle_nbytes = result
+        prev, last[g] = last[g], dmap
+        triggered, change = detect_event(prev, dmap, threshold)
+        if policy == "raw_always":
+            sent = ("raw_pair", raw_pair_bytes)
+        elif triggered or policy == "disparity_always":
+            sent = ("disparity_rle", rle_nbytes)
+        else:
+            sent = None
+        return dmap is not prev, ops, rle_nbytes, triggered, change, sent
+
+    def next_step():
+        nonlocal perceived, used
+        perceived, used = used, {}
+
+    def widen(pr: PairReport, low: int, high: int):
+        """Widen a pair's RLE size range to hold low to high."""
+        pr.rle_bytes_min = low if pr.rle_bytes_min is None else min(pr.rle_bytes_min, low)
+        pr.rle_bytes_max = high if pr.rle_bytes_max is None else max(pr.rle_bytes_max, high)
 
     def book(node: SensorNode, rep: NodeReport, step: int, cost: float, drawn: float) -> NodeReport:
         """Record a charge's deficit and any death it caused; returns rep, the node's report."""
@@ -485,7 +586,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     paths: dict[tuple[int, ...], list[SensorNode]] = {}
 
-    def transmit(step, key, path_ids, nbytes, kind):
+    def transmit(step, key, path_ids, kind, nbytes):
         """Send a payload along a route to the sink, or record its drop at the first dead transmitter."""
         path = paths.get(path_ids)
         if path is None:
@@ -499,11 +600,12 @@ def run_simulation(scenario: Scenario) -> SimReport:
         charged = [(node, reports[node.id], drawn) for node, drawn in charged]
         carry(step, key, kind, nbytes, path_ids, model.tx_cost(nbytes), charged)
 
-    for step in range(1, steps + 1):
-        used = {}
-        for (frames, params, spec, key, pr, left, left_rep, right, right_rep,
-             hop, frame_bytes, hop_cost, cpu_cost) in plans:
-            if step > len(frames):
+    def charge_step(step: int):
+        """Run one step, charging each cost as it falls due."""
+        sensed = {}
+        for (g, n, key, pr, left, left_rep, right, right_rep,
+             hop, frame_bytes, hop_cost, cpu_cost, route) in plans:
+            if step > n:
                 continue
             if not left.alive or not right.alive:
                 dead = left.id if not left.alive else right.id
@@ -517,28 +619,116 @@ def run_simulation(scenario: Scenario) -> SimReport:
             drawn = _draw(left, cpu_cost)
             book(left, left_rep, step, cpu_cost, drawn).processing_uj += drawn
 
-            lf, rf = frames[step - 1]
-            inputs = (lf, rf, spec)
-            result = used.get(inputs)
-            if result is None:
-                result = used[inputs] = perceived.get(inputs) or _perceive(lf, rf, params)
-            dmap, ops, rle_nbytes = result
+            s = sensed.get(g)
+            if s is None:
+                s = sensed[g] = sense(g, step)
+            new, ops, rle_nbytes, triggered, change, sent = s
             pr.elementary_ops += ops
-            prev = last.get(key)
-            if dmap is not prev:  # a map keeps its RLE size, so only a new map moves the range
-                last[key] = dmap
-                pr.rle_bytes_min = rle_nbytes if pr.rle_bytes_min is None else min(pr.rle_bytes_min, rle_nbytes)
-                pr.rle_bytes_max = rle_nbytes if pr.rle_bytes_max is None else max(pr.rle_bytes_max, rle_nbytes)
-
-            triggered, change = detect_event(prev, dmap, threshold)
+            if new:  # a map keeps its RLE size, so only a new map moves the range
+                widen(pr, rle_nbytes, rle_nbytes)
             if triggered:
                 events.append(EventRecord(step, key, change))
+            if sent:
+                transmit(step, key, route, *sent)
+        next_step()
 
-            if policy == "raw_always":
-                transmit(step, key, routes[left.id], pr.raw_pair_bytes, "raw_pair")
-            elif triggered or policy == "disparity_always":
-                transmit(step, key, routes[left.id], rle_nbytes, "disparity_rle")
-        perceived = used
+    def provable(step: int) -> tuple[int, np.ndarray]:
+        """How many steps from step on provably drain no battery to 0 and drop nothing, and the
+        batteries at step.
+
+        Every node that a pair scheduled at step may charge must be alive,
+        and its drain, with every pair-step charged its worst case, times
+        1 + w * 2**-50 for a window of w slots, at most its battery: that
+        factor covers the rounding of the bound and of the loop (README).
+        When one step holds, the longest window is halved until it holds.
+        """
+        battery = np.array([node.battery for node in order], float)
+
+        def holds(count: int) -> bool:
+            scheduled = np.clip(np.minimum(lengths, step + count - 1) - step + 1, 0, None)
+            drain = np.bincount(slot_rows, worst * np.repeat(scheduled, width), len(order))
+            return bool(np.all((drain * (1 + count * worst.size * 2.0**-50) <= battery) & (drain < np.inf)))
+
+        if not np.all(battery[slot_rows[real & np.repeat(lengths >= step, width)]] > 0.0):
+            return 0, battery
+        count = min(window, steps - step + 1)
+        with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite proves nothing
+            if not holds(1):
+                return 0, battery
+            while not holds(count):
+                count //= 2
+        return count, battery
+
+    def charge_run(first: int, count: int, battery: np.ndarray):
+        """Run steps first to first + count - 1, which provable proved, and charge them as columns."""
+        sends = np.zeros((count, len(plans)), np.int64)  # each pair's sink-bound bytes, 0 for none
+        ops = [0] * len(sensing)
+        sizes: list[list[int]] = [[] for _ in sensing]  # the RLE sizes of each group's new maps
+        group_of, runs, keys, hops, frames_bytes, sink_routes = zip(
+            *((g, n, key, hop, fb, route) for g, n, key, _, _, _, _, _, hop, fb, _, _, route in plans))
+        for i, step in enumerate(range(first, first + count)):
+            sensed = [sense(g, step) if len(frames) >= step else None for g, (frames, *_) in enumerate(sensing)]
+            for g, s in enumerate(sensed):
+                if s:
+                    ops[g] += s[1]
+                    if s[0]:
+                        sizes[g].append(s[2])
+            live = [n >= step for n in runs]
+            if any(s and (s[3] or s[5]) for s in sensed):
+                for p in compress(range(len(plans)), live):
+                    key = keys[p]
+                    _, _, _, triggered, change, sent = sensed[group_of[p]]
+                    transmissions.append(TransmissionRecord(step, key, "raw_frame", frames_bytes[p], hops[p]))
+                    if triggered:
+                        events.append(EventRecord(step, key, change))
+                    if sent:
+                        transmissions.append(TransmissionRecord(step, key, *sent, sink_routes[p]))
+                        sends[i, p] = sent[1]
+            else:  # no event and no send: the hops alone
+                transmissions.extend(map(TransmissionRecord, repeat(step), compress(keys, live), repeat("raw_frame"),
+                                         compress(frames_bytes, live), compress(hops, live)))
+            next_step()
+        for g, n, _, pr, *_ in plans:
+            if n >= first:
+                pr.elementary_ops += ops[g]
+                if sizes[g]:
+                    widen(pr, min(sizes[g]), max(sizes[g]))
+
+        # every charge of the run in loop order: its slot, and the bytes its pair sends at that step
+        sending = np.repeat(sends, width, axis=1)
+        at = np.flatnonzero(np.repeat(np.arange(first, first + count)[:, None] <= lengths, width, axis=1)
+                            & (own | (real & (sending > 0))))
+        slot, sending = at % table.size, sending.ravel()[at]
+        cost = np.where(own[slot], own_cost[slot], model.tx_cost(sending))
+        nbytes = np.where(own[slot], own_bytes[slot], sending)
+        # by node, each node's charges still in loop order
+        by_node = np.argsort(slot_rows[slot], kind="stable")
+        rows, cost, cpu = slot_rows[slot][by_node], cost[by_node], cpu_slot[slot][by_node]
+        after = _fold(np.subtract, battery, rows, cost)
+        assert np.all(after[rows] > 0.0), "a proven run drained a battery to 0"
+        processing = _fold(np.add, np.array([reports[n.id].processing_uj for n in order]), rows[cpu], cost[cpu])
+        transmission = _fold(np.add, np.array([reports[n.id].transmission_uj for n in order]), rows[~cpu], cost[~cpu])
+        sent_bytes = np.zeros(len(order), np.int64)
+        np.add.at(sent_bytes, rows, nbytes[by_node])
+        for r in np.flatnonzero(np.bincount(rows, minlength=len(order))).tolist():
+            rep = reports[order[r].id]
+            order[r].battery = float(after[r])
+            rep.processing_uj, rep.transmission_uj = float(processing[r]), float(transmission[r])
+            rep.bytes_transmitted += int(sent_bytes[r])
+
+    step = retry = 1
+    while step <= steps:
+        count = 0
+        if step >= retry:
+            count, battery = provable(step)
+            if not count:
+                # batteries only fall, so a step that fails fails again until a pair's schedule ends
+                retry = int(lengths[lengths >= step].min()) + 1
+        if count:
+            charge_run(step, count, battery)
+        else:
+            charge_step(step)
+        step += count or 1
 
     for nid, node in nodes.items():
         reports[nid].final_battery_uj = node.battery

@@ -1,6 +1,7 @@
 import json
 import tempfile
 from dataclasses import replace
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,9 @@ from stereosim import (
     texture,
 )
 
-from stereosim.sensornet import POLICIES, DropRecord, EventRecord, TransmissionRecord, _json_text
+from stereosim.sensornet import POLICIES, DropRecord, EventRecord, TransmissionRecord, _draw, _json_text
+from stereosim.sensornet import _fold as fold
+from stereosim.stereo import rle_max_bytes
 
 from oracles import all_simple_paths, naive_mean_abs_change, naive_run_simulation
 
@@ -479,7 +482,7 @@ def test_pairs_whose_match_params_differ_are_matched_apart(monkeypatch):
     assert [p.method for p in calls] == ["sad", "ssd"] * 3
 
 
-def test_detect_event_runs_once_per_executed_pair_step_on_its_consecutive_maps(monkeypatch):
+def test_detect_event_runs_once_per_group_step_on_its_consecutive_maps(monkeypatch):
     import stereosim.sensornet as sensornet
 
     scenario = load_scenario(GOLDEN / "shared_frames.scenario.json")
@@ -493,20 +496,39 @@ def test_detect_event_runs_once_per_executed_pair_step_on_its_consecutive_maps(m
     report = run_simulation(scenario)
 
     dropped = {(d.step, d.pair) for d in report.drops if d.reason == "camera-dead"}
-    maps, expected, executed = {}, [], 0
+    maps, expected, group_steps = {}, [], set()
     for step in range(1, report.steps + 1):
         for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
             key = (pair.left_node, pair.right_node)
             if step > len(pair.frames) or (step, key) in dropped:
                 continue
-            executed += 1
+            # a group: the same frame tuples at every step, and equal match params
+            group_steps.add((step, pair.match_params, tuple(map(id, pair.frames))))
             curr, _ = compute_disparity(*pair.frames[step - 1], pair.match_params)
             triggered, change = detect_event(maps.get(key), curr, scenario.event_threshold)
             if triggered:
                 expected.append(EventRecord(step, key, change))
             maps[key] = curr
     assert report.events == expected
-    assert len(calls) == executed
+    assert len(calls) == len(group_steps) < sum(t.payload == "raw_frame" for t in report.transmissions)
+
+
+def test_a_death_free_field_is_charged_as_columns(monkeypatch):
+    import stereosim.sensornet as sensornet
+
+    draws = []
+
+    def counting(node, cost):
+        draws.append(node.id)
+        return _draw(node, cost)
+
+    monkeypatch.setattr(sensornet, "_draw", counting)
+    scenario = _multi_pair_scenario(4)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        save_report(run_simulation(scenario), out)
+        assert out.read_bytes() == naive_run_simulation(scenario)
+    assert draws == []
 
 
 def test_policy_dominance_when_rle_is_smaller():
@@ -957,14 +979,85 @@ def _joined_frames_scenario():
     )
 
 
+# Costs of one uJ per byte, so batteries can hold exact multiples of them.
+_PER_BYTE = EnergyModel(tx_energy_per_64kb=65536.0, cpu_energy_per_64kb_processed=65536.0)
+
+
+def _group_scenario(batteries, lefts, links, shifts, policy):
+    """Pairs (left, left + 1) of one group: one frame list and equal match params.
+
+    batteries maps each node but the sink 0 to its battery; node 1 is a
+    relay and every other node a camera.
+    """
+    frames = shifted_sequence(12, 8, shifts, 4)
+    return Scenario(
+        nodes=_nodes((0, "sink", 0.0), *((i, "relay" if i == 1 else "camera", b) for i, b in batteries.items())),
+        pairs=[StereoPair(left, left + 1, MatchParams(1, 3, "sad"), frames) for left in lefts],
+        links=links,
+        policy=policy,
+        energy=_PER_BYTE,
+    )
+
+
+_HOP = pgm_num_bytes(shifted_sequence(12, 8, [1], 4)[0][0])  # the bytes of one 12x8 frame
+_THREE_PAIRS = [(0, 3), (3, 4), (0, 5), (5, 6), (0, 7), (7, 8)]
+
+
+def _middle_member_dies_mid_run():
+    """(a) Right camera 6 of the group's middle pair holds three hops. Steps 1 and 2 are charged
+    as columns (3 pairs x hop, processing and a one-hop send: 18 charges); camera 6 dies at step
+    3, charged a charge at a time, while pairs (3, 4) and (7, 8) execute every step."""
+    batteries = {3: 1e9, 4: 1e9, 5: 1e9, 6: 3.0 * _HOP, 7: 1e9, 8: 1e9}
+    return _group_scenario(batteries, [3, 5, 7], _THREE_PAIRS, [1, 1, 2, 2, 1], "disparity_always"), (18, 3)
+
+
+def _relay_emptied_between_members():
+    """(b) Relay 1 holds exactly one raw pair's transmit cost: pair (3, 4)'s send at step 1 draws
+    it to 0.0, and pair (5, 6)'s send later in that step is dropped as relay-dead."""
+    batteries = {1: 2.0 * _HOP, 3: 1e9, 4: 1e9, 5: 1e9, 6: 1e9}
+    links = [(0, 1), (1, 3), (3, 4), (1, 5), (5, 6)]
+    return _group_scenario(batteries, [3, 5], links, [1, 2], "raw_always"), (0, 1)
+
+
+def _member_empty_at_deployment():
+    """(c) Left camera 5 is empty before step 1, so its pair drops at every step and no step is
+    proven, while pairs (3, 4) and (7, 8) execute."""
+    batteries = {3: 1e9, 4: 1e9, 5: 0.0, 6: 1e9, 7: 1e9, 8: 1e9}
+    return _group_scenario(batteries, [3, 5, 7], _THREE_PAIRS, [1, 2, 1], "disparity_on_event"), (0, 0)
+
+
+def _death_free_but_unproven():
+    """(d) Relay 1 holds one uJ less than a worst-case 496-byte map costs, so no step is proven,
+    yet the pair's three 116-byte maps leave it 147 uJ: the field survives."""
+    batteries = {1: rle_max_bytes(12, 8) - 1.0, 3: 1e9, 4: 1e9}
+    return _group_scenario(batteries, [3], [(0, 1), (1, 3), (3, 4)], [1, 2, 1], "disparity_always"), (0, None)
+
+
 @settings(max_examples=60, deadline=None)
-@given(small_scenarios())
-@example(_joined_frames_scenario())
-def test_simulate_writes_the_bytes_of_the_naive_simulator(scenario):
-    with tempfile.TemporaryDirectory() as tmp:
+@given(small_scenarios(), st.none())
+@example(_joined_frames_scenario(), None)
+@example(*_middle_member_dies_mid_run())
+@example(*_relay_emptied_between_members())
+@example(*_member_empty_at_deployment())
+@example(*_death_free_but_unproven())
+def test_simulate_writes_the_bytes_of_the_naive_simulator(scenario, ledger):
+    """ledger, given for a boundary example, is (the charges made as columns, the lifetime)."""
+    import stereosim.sensornet as sensornet
+
+    columns = []
+
+    def folding(ufunc, start, rows, values):
+        if ufunc is np.subtract:
+            columns.append(len(values))
+        return fold(ufunc, start, rows, values)
+
+    with mock.patch.object(sensornet, "_fold", folding), tempfile.TemporaryDirectory() as tmp:
+        report = run_simulation(scenario)
         out = Path(tmp) / "report.json"
-        save_report(run_simulation(scenario), out)
+        save_report(report, out)
         assert out.read_bytes() == naive_run_simulation(scenario)
+    if ledger is not None:
+        assert (sum(columns), report.lifetime) == ledger
 
 
 _json_leaves = (
