@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -27,7 +27,6 @@ from .stereo import (
     MatchParams,
     compute_disparity,
     rle_encode_disparity,  # noqa: F401  (the simulator charges rle_num_bytes; kept importable here)
-    rle_max_bytes,
     rle_num_bytes,
     sidecar_num_bytes,
 )
@@ -411,31 +410,6 @@ def _perceive(
     return dmap, stats.elementary_ops, rle_num_bytes(dmap)
 
 
-def _fold(ufunc: np.ufunc, start: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each start[r] with every values[i] whose rows[i] is r folded in by ufunc, in index order.
-
-    rows ascends. ufunc.accumulate is sequential, so each result has the bits
-    of the loop `x = ufunc(x, v)`, which the pairwise order of np.sum would
-    not give. Rows with equally many values are folded as one block.
-    """
-    out = start.copy()
-    counts = np.bincount(rows, minlength=len(start))
-    ends = np.cumsum(counts)
-    for n in sorted(set(counts[counts > 0].tolist())):
-        sel = np.flatnonzero(counts == n)
-        block = np.empty((len(sel), n + 1))
-        block[:, 0] = start[sel]
-        block[:, 1:] = values[(ends[sel] - n)[:, None] + np.arange(n)]
-        out[sel] = ufunc.accumulate(block, axis=1)[:, -1]
-    return out
-
-
-# A death-free run is charged in windows of at most this many charge slots
-# (pair-steps times slots per pair), which bounds the window's arrays and the
-# rounding its proof allows for.
-_RUN_SLOTS = 1 << 16
-
-
 def run_simulation(scenario: Scenario) -> SimReport:
     """Run the lock-step rounds and return the full energy and event ledger.
 
@@ -456,10 +430,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
     while some group's most recent step used it. Every executed pair-step
     still pays its energy and counts its nominal elementary_ops.
 
-    Steps that provably drain no battery to 0 and drop nothing are charged
-    as columns: each node's charges in loop order, folded by
-    ufunc.accumulate, which gives the bits of the loop. Every other step is
-    charged one charge at a time, which is where deaths and drops are made.
+    Every charge is one _draw, in loop order. A charge that leaves its node
+    dead books the deficit and the death; any other charge drew its full cost.
     """
     errors, routes = _validate(scenario)
     if errors:
@@ -474,21 +446,15 @@ def run_simulation(scenario: Scenario) -> SimReport:
                          died_at_step=None if n.alive or n.role == "sink" else 0)
         for n in scenario.nodes
     }
-    order = [nodes[nid] for nid in sorted(nodes)]  # a column's row r is order[r]
-    row = {node.id: r for r, node in enumerate(order)}
     # Per pair, in step order, each one object or value for the whole run: its
     # group, step count, key, report, cameras and their reports, intra-pair hop
     # (right to left) with the bytes and radio cost of the frame it carries,
-    # the left camera's processing cost, and its route. Every frame of a pair
-    # has the step-0 size (validated), so byte counts and costs are per-run
-    # constants. Equal match params share a spec number, which the group key
-    # holds, so the params are hashed once per pair, not at every step.
-    # A pair's charge slots, in loop order, are the right camera's hop, the
-    # left camera's processing, and a send by each node of its route but the
-    # sink, which are charged at the steps it sends. A slot holds its node's
-    # row, its cost and bytes unless it is a send, its worst-case cost, and
-    # whether the pair has it.
-    plans, pair_reports, specs, groups, sensing, cells = [], [], {}, {}, [], []
+    # the left camera's processing cost, and its route with the route's nodes.
+    # Every frame of a pair has the step-0 size (validated), so byte counts and
+    # costs are per-run constants. Equal match params share a spec number,
+    # which the group key holds, so the params are hashed once per pair, not at
+    # every step.
+    plans, pair_reports, specs, groups, sensing = [], [], {}, {}, []
     for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
         pr = PairReport(
@@ -507,29 +473,14 @@ def run_simulation(scenario: Scenario) -> SimReport:
         if g == len(sensing):
             sensing.append((pair.frames, pair.match_params, spec, pr.raw_pair_bytes))
         frame_bytes = pr.raw_pair_bytes // 2  # both frames weigh the same
-        hop_cost = model.tx_cost(frame_bytes)
-        cpu_cost = model.cpu_cost(pr.raw_pair_bytes + pr.sidecar_bytes)
         route = routes[pair.left_node]
         plans.append((
             g, len(pair.frames), (pair.left_node, pair.right_node), pr,
             nodes[pair.left_node], reports[pair.left_node],
             nodes[pair.right_node], reports[pair.right_node],
-            (pair.right_node, pair.left_node), frame_bytes, hop_cost, cpu_cost, route,
+            (pair.right_node, pair.left_node), frame_bytes, model.tx_cost(frame_bytes),
+            model.cpu_cost(pr.raw_pair_bytes + pr.sidecar_bytes), route, [nodes[i] for i in route],
         ))
-        send_cost = model.tx_cost(pr.raw_pair_bytes if policy == "raw_always" else rle_max_bytes(w, h))
-        cells.append([(row[pair.right_node], hop_cost, frame_bytes, hop_cost, True),
-                      (row[pair.left_node], cpu_cost, 0, cpu_cost, True)]
-                     + [(row[i], 0.0, 0, send_cost, True) for i in route[:-1]])
-    width = max(map(len, cells), default=2)
-    table = np.array(
-        [slot for c in cells for slot in c + [(0, 0.0, 0, 0.0, False)] * (width - len(c))],
-        dtype=[("row", np.intp), ("cost", float), ("bytes", np.int64), ("worst", float), ("real", bool)],
-    )
-    slot_rows, own_cost, own_bytes, worst, real = (np.ascontiguousarray(table[f]) for f in table.dtype.names)
-    own = np.arange(table.size) % width < 2
-    cpu_slot = np.arange(table.size) % width == 1
-    lengths = np.array([plan[1] for plan in plans], np.intp)
-    window = max(1, _RUN_SLOTS // max(table.size, 1))
 
     events: list[EventRecord] = []
     transmissions: list[TransmissionRecord] = []
@@ -560,51 +511,33 @@ def run_simulation(scenario: Scenario) -> SimReport:
             sent = None
         return dmap is not prev, ops, rle_nbytes, triggered, change, sent
 
-    def next_step():
-        nonlocal perceived, used
-        perceived, used = used, {}
-
-    def widen(pr: PairReport, low: int, high: int):
-        """Widen a pair's RLE size range to hold low to high."""
-        pr.rle_bytes_min = low if pr.rle_bytes_min is None else min(pr.rle_bytes_min, low)
-        pr.rle_bytes_max = high if pr.rle_bytes_max is None else max(pr.rle_bytes_max, high)
-
-    def book(node: SensorNode, rep: NodeReport, step: int, cost: float, drawn: float) -> NodeReport:
-        """Record a charge's deficit and any death it caused; returns rep, the node's report."""
+    def book(rep: NodeReport, step: int, cost: float, drawn: float):
+        """Record the deficit and the death of a charge that left its node dead.
+        Only a live node is charged, so a node dies once."""
         rep.deficit_uj += cost - drawn
-        if rep.died_at_step is None and not node.alive:
-            rep.died_at_step = step
-        return rep
+        rep.died_at_step = step
 
-    def carry(step, key, kind, nbytes, path_ids, cost, charged):
-        """Book a delivered payload: each (node, report, drawn) transmitter's charge, then its record."""
-        for node, rep, drawn in charged:
-            book(node, rep, step, cost, drawn)
-            rep.transmission_uj += drawn
-            rep.bytes_transmitted += nbytes
-        transmissions.append(TransmissionRecord(step, key, kind, nbytes, path_ids))
-
-    paths: dict[tuple[int, ...], list[SensorNode]] = {}
-
-    def transmit(step, key, path_ids, kind, nbytes):
+    def transmit(step, key, path_ids, path, kind, nbytes):
         """Send a payload along a route to the sink, or record its drop at the first dead transmitter."""
-        path = paths.get(path_ids)
-        if path is None:
-            path = paths[path_ids] = [nodes[i] for i in path_ids]
         try:
             charged = charge_transmission(path, nbytes, model)
         except DeadNodeError as exc:
             reason = "origin-dead" if exc.node_id == path_ids[0] else "relay-dead"
             drops.append(DropRecord(step, key, reason, exc.node_id, kind, nbytes))
             return
-        charged = [(node, reports[node.id], drawn) for node, drawn in charged]
-        carry(step, key, kind, nbytes, path_ids, model.tx_cost(nbytes), charged)
+        cost = model.tx_cost(nbytes)
+        for node, drawn in charged:
+            rep = reports[node.id]
+            if not node.alive:
+                book(rep, step, cost, drawn)
+            rep.transmission_uj += drawn
+            rep.bytes_transmitted += nbytes
+        transmissions.append(TransmissionRecord(step, key, kind, nbytes, path_ids))
 
-    def charge_step(step: int):
-        """Run one step, charging each cost as it falls due."""
+    for step in range(1, steps + 1):
         sensed = {}
         for (g, n, key, pr, left, left_rep, right, right_rep,
-             hop, frame_bytes, hop_cost, cpu_cost, route) in plans:
+             hop, frame_bytes, hop_cost, cpu_cost, route, path) in plans:
             if step > n:
                 continue
             if not left.alive or not right.alive:
@@ -612,12 +545,21 @@ def run_simulation(scenario: Scenario) -> SimReport:
                 drops.append(DropRecord(step, key, "camera-dead", dead, None, 0))
                 continue
             # the partner frame crosses the intra-pair link so the left node
-            # can match; the right camera is alive, so it is never dropped
-            carry(step, key, "raw_frame", frame_bytes, hop, hop_cost,
-                  ((right, right_rep, _draw(right, hop_cost)),))
+            # can match; the right camera is alive, so it is never dropped.
+            # A draw that falls short empties its node, so a charge books only
+            # when it leaves its node dead.
+            drawn = _draw(right, hop_cost)
+            if not right.alive:
+                book(right_rep, step, hop_cost, drawn)
+            right_rep.transmission_uj += drawn
+            right_rep.bytes_transmitted += frame_bytes
+            # tuple.__new__ skips the record class's Python-level __new__
+            transmissions.append(tuple.__new__(TransmissionRecord, (step, key, "raw_frame", frame_bytes, hop)))
 
             drawn = _draw(left, cpu_cost)
-            book(left, left_rep, step, cpu_cost, drawn).processing_uj += drawn
+            if not left.alive:
+                book(left_rep, step, cpu_cost, drawn)
+            left_rep.processing_uj += drawn
 
             s = sensed.get(g)
             if s is None:
@@ -625,110 +567,13 @@ def run_simulation(scenario: Scenario) -> SimReport:
             new, ops, rle_nbytes, triggered, change, sent = s
             pr.elementary_ops += ops
             if new:  # a map keeps its RLE size, so only a new map moves the range
-                widen(pr, rle_nbytes, rle_nbytes)
+                pr.rle_bytes_min = rle_nbytes if pr.rle_bytes_min is None else min(pr.rle_bytes_min, rle_nbytes)
+                pr.rle_bytes_max = rle_nbytes if pr.rle_bytes_max is None else max(pr.rle_bytes_max, rle_nbytes)
             if triggered:
                 events.append(EventRecord(step, key, change))
             if sent:
-                transmit(step, key, route, *sent)
-        next_step()
-
-    def provable(step: int) -> tuple[int, np.ndarray]:
-        """How many steps from step on provably drain no battery to 0 and drop nothing, and the
-        batteries at step.
-
-        Every node that a pair scheduled at step may charge must be alive,
-        and its drain, with every pair-step charged its worst case, times
-        1 + w * 2**-50 for a window of w slots, at most its battery: that
-        factor covers the rounding of the bound and of the loop (README).
-        When one step holds, the longest window is halved until it holds.
-        """
-        battery = np.array([node.battery for node in order], float)
-
-        def holds(count: int) -> bool:
-            scheduled = np.clip(np.minimum(lengths, step + count - 1) - step + 1, 0, None)
-            drain = np.bincount(slot_rows, worst * np.repeat(scheduled, width), len(order))
-            return bool(np.all((drain * (1 + count * worst.size * 2.0**-50) <= battery) & (drain < np.inf)))
-
-        if not np.all(battery[slot_rows[real & np.repeat(lengths >= step, width)]] > 0.0):
-            return 0, battery
-        count = min(window, steps - step + 1)
-        with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite proves nothing
-            if not holds(1):
-                return 0, battery
-            while not holds(count):
-                count //= 2
-        return count, battery
-
-    def charge_run(first: int, count: int, battery: np.ndarray):
-        """Run steps first to first + count - 1, which provable proved, and charge them as columns."""
-        sends = np.zeros((count, len(plans)), np.int64)  # each pair's sink-bound bytes, 0 for none
-        ops = [0] * len(sensing)
-        sizes: list[list[int]] = [[] for _ in sensing]  # the RLE sizes of each group's new maps
-        group_of, runs, keys, hops, frames_bytes, sink_routes = zip(
-            *((g, n, key, hop, fb, route) for g, n, key, _, _, _, _, _, hop, fb, _, _, route in plans))
-        for i, step in enumerate(range(first, first + count)):
-            sensed = [sense(g, step) if len(frames) >= step else None for g, (frames, *_) in enumerate(sensing)]
-            for g, s in enumerate(sensed):
-                if s:
-                    ops[g] += s[1]
-                    if s[0]:
-                        sizes[g].append(s[2])
-            live = [n >= step for n in runs]
-            if any(s and (s[3] or s[5]) for s in sensed):
-                for p in compress(range(len(plans)), live):
-                    key = keys[p]
-                    _, _, _, triggered, change, sent = sensed[group_of[p]]
-                    transmissions.append(TransmissionRecord(step, key, "raw_frame", frames_bytes[p], hops[p]))
-                    if triggered:
-                        events.append(EventRecord(step, key, change))
-                    if sent:
-                        transmissions.append(TransmissionRecord(step, key, *sent, sink_routes[p]))
-                        sends[i, p] = sent[1]
-            else:  # no event and no send: the hops alone
-                transmissions.extend(map(TransmissionRecord, repeat(step), compress(keys, live), repeat("raw_frame"),
-                                         compress(frames_bytes, live), compress(hops, live)))
-            next_step()
-        for g, n, _, pr, *_ in plans:
-            if n >= first:
-                pr.elementary_ops += ops[g]
-                if sizes[g]:
-                    widen(pr, min(sizes[g]), max(sizes[g]))
-
-        # every charge of the run in loop order: its slot, and the bytes its pair sends at that step
-        sending = np.repeat(sends, width, axis=1)
-        at = np.flatnonzero(np.repeat(np.arange(first, first + count)[:, None] <= lengths, width, axis=1)
-                            & (own | (real & (sending > 0))))
-        slot, sending = at % table.size, sending.ravel()[at]
-        cost = np.where(own[slot], own_cost[slot], model.tx_cost(sending))
-        nbytes = np.where(own[slot], own_bytes[slot], sending)
-        # by node, each node's charges still in loop order
-        by_node = np.argsort(slot_rows[slot], kind="stable")
-        rows, cost, cpu = slot_rows[slot][by_node], cost[by_node], cpu_slot[slot][by_node]
-        after = _fold(np.subtract, battery, rows, cost)
-        assert np.all(after[rows] > 0.0), "a proven run drained a battery to 0"
-        processing = _fold(np.add, np.array([reports[n.id].processing_uj for n in order]), rows[cpu], cost[cpu])
-        transmission = _fold(np.add, np.array([reports[n.id].transmission_uj for n in order]), rows[~cpu], cost[~cpu])
-        sent_bytes = np.zeros(len(order), np.int64)
-        np.add.at(sent_bytes, rows, nbytes[by_node])
-        for r in np.flatnonzero(np.bincount(rows, minlength=len(order))).tolist():
-            rep = reports[order[r].id]
-            order[r].battery = float(after[r])
-            rep.processing_uj, rep.transmission_uj = float(processing[r]), float(transmission[r])
-            rep.bytes_transmitted += int(sent_bytes[r])
-
-    step = retry = 1
-    while step <= steps:
-        count = 0
-        if step >= retry:
-            count, battery = provable(step)
-            if not count:
-                # batteries only fall, so a step that fails fails again until a pair's schedule ends
-                retry = int(lengths[lengths >= step].min()) + 1
-        if count:
-            charge_run(step, count, battery)
-        else:
-            charge_step(step)
-        step += count or 1
+                transmit(step, key, route, path, *sent)
+        perceived, used = used, {}
 
     for nid, node in nodes.items():
         reports[nid].final_battery_uj = node.battery

@@ -535,11 +535,6 @@ def rle_num_bytes(dmap: DisparityMap) -> int:
     return _HEADER.size + _RLE_RECORD.itemsize * int(_rle_runs(dmap)[2].sum())
 
 
-def rle_max_bytes(width: int, height: int) -> int:
-    """The most rle_num_bytes can be for a width x height map: a record per pixel."""
-    return _HEADER.size + _RLE_RECORD.itemsize * width * height
-
-
 def rle_encode_disparity(dmap: DisparityMap) -> bytes:
     """Row-wise run-length encoding of (disparity, valid) pairs.
 

@@ -13,11 +13,12 @@ collection, so no tree pays for another's garbage. Stages are timed with
 perf_counter. Every run of every tree must give the same digest of its
 outputs for a case, or the tool exits with an error.
 
-The simulate topic runs two fields of the benchmark's `field-shared` shape: a
+The simulate topic runs three fields of the benchmark's `field-shared` shape: a
 sink, two relays and fifty event-gated 64x64 pairs over forty steps. In
 `field-shared` every pair sees the same synthetic frames; in
-`field-distinct` each pair has its own seed, so every pair is matched. Its
-stages:
+`field-distinct` each pair has its own seed, so every pair is matched;
+`field-dying` is `field-shared` with right cameras of 500 uJ, which die at
+step 22, so their pairs drop from step 23 on. Its stages:
 
 - load_scenario: read and build the scenario file;
 - validate_scenario: the checks run_simulation starts with;
@@ -86,7 +87,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_RUNS, MIN_RECORD_RUNS = 3, 5
-FIELDS = ("field-shared", "field-distinct")
+FIELDS = ("field-shared", "field-distinct", "field-dying")
 PAIRS, STEPS, SIDE = 50, 40, 64
 WIDTH, HEIGHT, SHIFT, SEED = 640, 480, 7, 0
 MATCH = {"method": "ssd", "radius": 3, "max_disparity": 64}
@@ -151,11 +152,13 @@ def measure(name: str, trees: dict, runs: int, run, fields, env: dict) -> list[d
 
 
 def scenario(field: str) -> dict:
-    """The benchmark's field-shared shape; field-distinct gives pair p the seed p."""
+    """The benchmark's field-shared shape; field-distinct gives pair p the seed p,
+    and field-dying gives each right camera a battery it empties at step 22."""
     cams, links = [], []
     for p in range(PAIRS):
         left, right = 3 + 2 * p, 4 + 2 * p
-        cams += [{"id": i, "role": "camera", "battery": 1e6} for i in (left, right)]
+        cams += [{"id": left, "role": "camera", "battery": 1e6},
+                 {"id": right, "role": "camera", "battery": 500.0 if field == "field-dying" else 1e6}]
         links += [[2, left], [left, right]]
     pairs = []
     for p, cam in enumerate(cams[::2]):
