@@ -432,6 +432,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     Every charge is one _draw, in loop order. A charge that leaves its node
     dead books the deficit and the death; any other charge drew its full cost.
+    The ledger reads liveness from the battery, whose truth value equals
+    alive for every battery that validation accepts.
     """
     errors, routes = _validate(scenario)
     if errors:
@@ -453,7 +455,11 @@ def run_simulation(scenario: Scenario) -> SimReport:
     # Every frame of a pair has the step-0 size (validated), so byte counts and
     # costs are per-run constants. Equal match params share a spec number,
     # which the group key holds, so the params are hashed once per pair, not at
-    # every step.
+    # every step. The loop reads liveness as the battery's truth value, which
+    # equals alive for a battery >= 0 and not NaN. Validation accepts only such
+    # batteries, and a draw of at most the battery keeps them so; only an
+    # infinite battery charged an infinite cost turns NaN, and no report with
+    # an infinite battery can be written.
     plans, pair_reports, specs, groups, sensing = [], [], {}, {}, []
     for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
@@ -528,7 +534,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
         cost = model.tx_cost(nbytes)
         for node, drawn in charged:
             rep = reports[node.id]
-            if not node.alive:
+            if not node.battery:
                 book(rep, step, cost, drawn)
             rep.transmission_uj += drawn
             rep.bytes_transmitted += nbytes
@@ -540,8 +546,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
              hop, frame_bytes, hop_cost, cpu_cost, route, path) in plans:
             if step > n:
                 continue
-            if not left.alive or not right.alive:
-                dead = left.id if not left.alive else right.id
+            if not left.battery or not right.battery:
+                dead = left.id if not left.battery else right.id
                 drops.append(DropRecord(step, key, "camera-dead", dead, None, 0))
                 continue
             # the partner frame crosses the intra-pair link so the left node
@@ -549,7 +555,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
             # A draw that falls short empties its node, so a charge books only
             # when it leaves its node dead.
             drawn = _draw(right, hop_cost)
-            if not right.alive:
+            if not right.battery:
                 book(right_rep, step, hop_cost, drawn)
             right_rep.transmission_uj += drawn
             right_rep.bytes_transmitted += frame_bytes
@@ -557,7 +563,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
             transmissions.append(tuple.__new__(TransmissionRecord, (step, key, "raw_frame", frame_bytes, hop)))
 
             drawn = _draw(left, cpu_cost)
-            if not left.alive:
+            if not left.battery:
                 book(left_rep, step, cpu_cost, drawn)
             left_rep.processing_uj += drawn
 
@@ -1045,13 +1051,17 @@ def _json_objects(columns: dict[str, Sequence], pad: str) -> list[str]:
 def _json_column(values: Sequence, pad: str) -> Iterator[str]:
     """Each of values as _json_text writes it at pad.
 
-    Exact ints (not bools) render in one pass. Otherwise each value object
-    renders once, keyed by id: values holds every value until the tokens are
-    read, so an id stands for one value, and 1, True and 1.0 are distinct
-    objects with distinct tokens.
+    Values that all have one scalar type exactly (int, float, str, bool or
+    NoneType; True is a bool here, not an int), such as a `step` or `change`
+    column or the ints of a `pair`, render through that type's token in one
+    pass. Otherwise each value object renders once, keyed by id: values
+    holds every value until the tokens are read, so an id stands for one
+    value, and 1, True and 1.0 are distinct objects with distinct tokens.
     """
-    if set(map(type, values)) == {int}:
-        return map(int.__repr__, values)
+    types = set(map(type, values))
+    token = _SCALAR_TOKENS.get(types.pop()) if len(types) == 1 else None
+    if token is not None:
+        return map(token, values)
     distinct = dict(zip(map(id, values), values))
     memo = {i: _json_text(value, pad) for i, value in distinct.items()}
     return map(memo.__getitem__, map(id, values))
@@ -1065,5 +1075,7 @@ def save_report(report: SimReport, path: Path | str):
     raises ValueError and writes nothing. The record lists are rendered
     from the records themselves, without a dict per record.
     """
-    text = _json_text(_report_doc(report)) + "\n"
-    Path(path).write_text(text)
+    text = _json_text(_report_doc(report))
+    with open(path, "w") as f:
+        f.write(text)
+        f.write("\n")

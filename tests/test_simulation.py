@@ -1036,6 +1036,18 @@ def _relay_survives_a_tight_battery():
     return _group_scenario(batteries, [3], [(0, 1), (1, 3), (3, 4)], [1, 2, 1], "disparity_always"), "survived"
 
 
+def _camera_deployed_at_negative_zero():
+    """(e) Right camera 4 is deployed with -0.0 uJ, a battery validation accepts: it is dead at
+    step 0, so its pair drops at every step."""
+    return _group_scenario({3: 1e9, 4: -0.0}, [3], [(0, 3), (3, 4)], [1, 2], "disparity_always"), 0
+
+
+def _camera_deployed_with_the_least_battery():
+    """(f) Left camera 3 is deployed with 5e-324 uJ, the least positive float: it executes step 1,
+    its processing charge draws it to 0.0, and its send that step is dropped as origin-dead."""
+    return _group_scenario({3: 5e-324, 4: 1e9}, [3], [(0, 3), (3, 4)], [1, 2], "disparity_always"), 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_scenarios(), st.none())
 @example(_joined_frames_scenario(), None)
@@ -1043,6 +1055,8 @@ def _relay_survives_a_tight_battery():
 @example(*_relay_emptied_between_members())
 @example(*_member_empty_at_deployment())
 @example(*_relay_survives_a_tight_battery())
+@example(*_camera_deployed_at_negative_zero())
+@example(*_camera_deployed_with_the_least_battery())
 def test_simulate_writes_the_bytes_of_the_naive_simulator(scenario, lifetime):
     """lifetime, given for a boundary example, is the report's: a step, or "survived"."""
     report = run_simulation(scenario)
@@ -1079,6 +1093,13 @@ def _json_records(draw, values):
 @example({"numpy": np.float64(2.5), "flag": True, "text": "\u00e9\n", "zero": -0.0, "big": 10**30})
 @example([{"n": 1}, {"n": True}, {"n": 1.0}, {"n": 0}])
 @example([{"t": (1, 2)}, {"t": (True, 2)}, {"t": (1.0, 2)}])
+@example([-0.0, 5e-324, 1.7976931348623157e308])
+@example([-0.0, np.float64(5e-324), 1.7976931348623157e308])
+@example([1, True, 2])
+@example([1, 2.0])
+@example((3, 4))
+@example([[1, 2], [3]])
+@example([{"s": "\u00e9\n", "b": True, "n": None}, {"s": "a", "b": False, "n": None}])
 def test_json_text_writes_what_json_dumps_writes(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
@@ -1104,6 +1125,10 @@ def _record_lists(draw):
 @example([EventRecord(1, (3, 4), 1), EventRecord(True, (3, 4), True), EventRecord(1.0, (3, 4), 1.0),
           EventRecord(None, (3, 4), None)])
 @example([TransmissionRecord(1, (3, 4), "raw_frame", 10**6 + k, (4, 3)) for k in (0, 0, 1)])
+@example([EventRecord(k, (3, 4), c) for k, c in enumerate([-0.0, 5e-324, 1.7976931348623157e308])])
+@example([EventRecord(k, (3, 4), c) for k, c in enumerate([-0.0, np.float64(5e-324), 1.7976931348623157e308])])
+@example([TransmissionRecord(1, pair, "raw_frame", 9, path)
+          for pair, path in [([1, True, 2], [1, 2.0]), ((3, 4), [[1, 2], [3]]), ((3, 4), (4, 3))]])
 def test_json_text_writes_a_record_list_as_json_dumps_writes_its_dicts(records):
     expected = json.dumps([r._asdict() for r in records], indent=2, sort_keys=True, allow_nan=False)
     assert _json_text(records) == expected
