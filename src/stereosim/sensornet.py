@@ -432,8 +432,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     Every charge is one _draw, in loop order. A charge that leaves its node
     dead books the deficit and the death; any other charge drew its full cost.
-    The ledger reads liveness from the battery, whose truth value equals
-    alive for every battery that validation accepts.
+    The ledger tests alive's own comparison, battery > 0.0, inline.
     """
     errors, routes = _validate(scenario)
     if errors:
@@ -455,11 +454,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
     # Every frame of a pair has the step-0 size (validated), so byte counts and
     # costs are per-run constants. Equal match params share a spec number,
     # which the group key holds, so the params are hashed once per pair, not at
-    # every step. The loop reads liveness as the battery's truth value, which
-    # equals alive for a battery >= 0 and not NaN. Validation accepts only such
-    # batteries, and a draw of at most the battery keeps them so; only an
-    # infinite battery charged an infinite cost turns NaN, and no report with
-    # an infinite battery can be written.
+    # every step.
     plans, pair_reports, specs, groups, sensing = [], [], {}, {}, []
     for pair in sorted(scenario.pairs, key=lambda p: (p.left_node, p.right_node)):
         w, h = pair.frames[0][0].width, pair.frames[0][0].height
@@ -534,7 +529,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
         cost = model.tx_cost(nbytes)
         for node, drawn in charged:
             rep = reports[node.id]
-            if not node.battery:
+            if not node.battery > 0.0:
                 book(rep, step, cost, drawn)
             rep.transmission_uj += drawn
             rep.bytes_transmitted += nbytes
@@ -546,8 +541,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
              hop, frame_bytes, hop_cost, cpu_cost, route, path) in plans:
             if step > n:
                 continue
-            if not left.battery or not right.battery:
-                dead = left.id if not left.battery else right.id
+            if not (left.battery > 0.0 and right.battery > 0.0):
+                dead = right.id if left.battery > 0.0 else left.id
                 drops.append(DropRecord(step, key, "camera-dead", dead, None, 0))
                 continue
             # the partner frame crosses the intra-pair link so the left node
@@ -555,7 +550,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
             # A draw that falls short empties its node, so a charge books only
             # when it leaves its node dead.
             drawn = _draw(right, hop_cost)
-            if not right.battery:
+            if not right.battery > 0.0:
                 book(right_rep, step, hop_cost, drawn)
             right_rep.transmission_uj += drawn
             right_rep.bytes_transmitted += frame_bytes
@@ -563,7 +558,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
             transmissions.append(tuple.__new__(TransmissionRecord, (step, key, "raw_frame", frame_bytes, hop)))
 
             drawn = _draw(left, cpu_cost)
-            if not left.battery:
+            if not left.battery > 0.0:
                 book(left_rep, step, cpu_cost, drawn)
             left_rep.processing_uj += drawn
 

@@ -378,6 +378,23 @@ def test_a_node_empty_at_deployment_is_dead_from_step_zero(empty):
     assert [(d.step, d.reason, d.node) for d in report.drops] == [(1, reason, empty), (2, reason, empty)]
 
 
+def test_a_battery_drawn_to_nan_is_dead_in_the_ledger_as_alive_reads_it():
+    # an infinite battery charged an infinite cost is left NaN, which alive reads as dead
+    sc = Scenario(
+        nodes=_nodes((0, "sink", 0.0), (3, "camera", float("inf")), (4, "camera", float("inf"))),
+        pairs=[StereoPair(3, 4, MatchParams(1, 3, "sad"), shifted_sequence(12, 8, [1, 1, 2], 4))],
+        links=[(0, 3), (3, 4)],
+        policy="raw_always",
+        energy=EnergyModel(float("inf"), float("inf")),
+    )
+    report = run_simulation(sc)
+    assert [n.died_at_step for n in report.nodes] == [None, 1, 1]
+    assert not any(SensorNode(n.id, n.role, n.final_battery_uj).alive for n in report.nodes)
+    assert report.lifetime == 1
+    assert [(d.step, d.reason, d.node) for d in report.drops] == [
+        (1, "origin-dead", 3), (2, "camera-dead", 3), (3, "camera-dead", 3)]
+
+
 def test_energy_conservation_exact():
     for policy in ("disparity_on_event", "disparity_always", "raw_always"):
         sc = make_line_scenario(policy=policy, shifts=(1, 2, 1, 3), threshold=0.5)
