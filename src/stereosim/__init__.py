@@ -10,7 +10,6 @@ from .imaging import (
 )
 from .metrics import MetricResult, mse, psnr, ssim
 from .sensornet import (
-    DeadNodeError,
     EnergyModel,
     RoutingError,
     Scenario,
@@ -18,11 +17,9 @@ from .sensornet import (
     SensorNode,
     SimReport,
     StereoPair,
-    charge_processing,
     charge_transmission,
     detect_event,
     load_scenario,
-    network_lifetime,
     report_to_dict,
     route_to_sink,
     run_simulation,

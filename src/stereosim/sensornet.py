@@ -26,7 +26,9 @@ from .stereo import (
     DisparityMap,
     MatchParams,
     compute_disparity,
-    rle_encode_disparity,  # noqa: F401  (the simulator charges rle_num_bytes; kept importable here)
+    # not used here: perfbench's tracing.SITES lists sensornet.rle_encode_disparity,
+    # and its self-test test_absent_site_is_recorded_not_fatal reads it
+    rle_encode_disparity,  # noqa: F401
     rle_num_bytes,
     sidecar_num_bytes,
 )
@@ -34,10 +36,9 @@ from .synthetic import shifted_sequence
 
 __all__ = [
     "ROLES", "POLICIES", "EnergyModel", "SensorNode", "StereoPair", "Scenario",
-    "ScenarioError", "RoutingError", "DeadNodeError",
+    "ScenarioError", "RoutingError",
     "EventRecord", "TransmissionRecord", "DropRecord", "NodeReport", "PairReport", "SimReport",
-    "route_to_sink", "detect_event", "charge_processing",
-    "charge_transmission", "run_simulation", "network_lifetime", "validate_scenario",
+    "route_to_sink", "detect_event", "charge_transmission", "run_simulation", "validate_scenario",
     "scenario_from_dict", "load_scenario", "report_summary", "report_to_dict", "save_report",
 ]
 
@@ -57,14 +58,6 @@ class ScenarioError(ValueError):
 
 class RoutingError(ValueError):
     """A node has no path to the sink."""
-
-
-class DeadNodeError(RuntimeError):
-    """A depleted node was asked to transmit."""
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        super().__init__(f"node {node_id} is depleted and cannot transmit")
 
 
 @dataclass(frozen=True)
@@ -288,27 +281,16 @@ def _draw(node: SensorNode, cost: float) -> float:
     return drawn
 
 
-def charge_processing(node: SensorNode, nbytes: int, model: EnergyModel) -> float:
-    """Draw CPU energy for nbytes of data handled; returns the energy drawn.
-
-    The battery floors at zero: a node may finish its fatal workload, paying
-    only what it has left, and is dead afterwards.
-    """
-    return _draw(node, model.cpu_cost(nbytes))
-
-
 def charge_transmission(
     path: list[SensorNode], nbytes: int, model: EnergyModel
 ) -> list[tuple[SensorNode, float]]:
     """Charge radio energy along a path; every node but the last transmits.
 
     Returns (node, energy drawn) per transmitter. A node dying mid-path
-    still forwards the in-flight payload, but a transmitter that is already
-    dead raises DeadNodeError before anything is charged.
+    still forwards the in-flight payload. The simulator sends only along a
+    live path; a transmitter that is already dead draws nothing, because
+    _draw floors at zero.
     """
-    for node in path[:-1]:
-        if not node.alive:
-            raise DeadNodeError(node.id)
     cost = model.tx_cost(nbytes)
     return [(node, _draw(node, cost)) for node in path[:-1]]
 
@@ -419,7 +401,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
     event detector compares against the previous map, and the active policy
     decides whether the RLE-encoded map or the raw frame pair travels the
     minimum-hop route to the sink. Dead nodes neither process nor transmit;
-    payloads blocked by a dead origin or relay are recorded as drops.
+    a payload is dropped at its route's first dead transmitter, origin or
+    relay, before any radio charge. The lifetime is the least died_at_step.
 
     Pairs whose frame tuples are the same objects at every step and whose
     match params are equal form a group. A pair executes a prefix of its
@@ -519,15 +502,15 @@ def run_simulation(scenario: Scenario) -> SimReport:
         rep.died_at_step = step
 
     def transmit(step, key, path_ids, path, kind, nbytes):
-        """Send a payload along a route to the sink, or record its drop at the first dead transmitter."""
-        try:
-            charged = charge_transmission(path, nbytes, model)
-        except DeadNodeError as exc:
-            reason = "origin-dead" if exc.node_id == path_ids[0] else "relay-dead"
-            drops.append(DropRecord(step, key, reason, exc.node_id, kind, nbytes))
-            return
+        """Send a payload along a route to the sink, or record its drop at the first dead
+        transmitter, before any radio charge."""
+        for node in path[:-1]:
+            if not node.battery > 0.0:
+                reason = "origin-dead" if node is path[0] else "relay-dead"
+                drops.append(DropRecord(step, key, reason, node.id, kind, nbytes))
+                return
         cost = model.tx_cost(nbytes)
-        for node, drawn in charged:
+        for node, drawn in charge_transmission(path, nbytes, model):
             rep = reports[node.id]
             if not node.battery > 0.0:
                 book(rep, step, cost, drawn)
@@ -579,7 +562,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
     for nid, node in nodes.items():
         reports[nid].final_battery_uj = node.battery
 
-    report = SimReport(
+    deaths = [r.died_at_step for r in reports.values() if r.died_at_step is not None]
+    return SimReport(
         policy=scenario.policy,
         steps=steps,
         event_threshold=scenario.event_threshold,
@@ -590,25 +574,9 @@ def run_simulation(scenario: Scenario) -> SimReport:
         transmissions=transmissions,
         drops=drops,
         total_elementary_ops=sum(pr.elementary_ops for pr in pair_reports),
-        lifetime=None,
+        # first death: only a camera or relay is ever booked one, so the sink never counts
+        lifetime=min(deaths, default=None),
     )
-    report.lifetime = network_lifetime(report)
-    return report
-
-
-def network_lifetime(report: SimReport) -> int | None:
-    """First step at which any camera or relay battery reached zero, 0 for
-    one that was empty before step 1.
-
-    The sink is mains-powered and excluded. Returns None when every
-    battery-powered node survived the whole run.
-    """
-    deaths = [
-        r.died_at_step
-        for r in report.nodes
-        if r.role in ("camera", "relay") and r.died_at_step is not None
-    ]
-    return min(deaths) if deaths else None
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from stereosim import (
     Scenario,
     SensorNode,
     StereoPair,
-    charge_processing,
     charge_transmission,
     compute_disparity,
     psnr,
@@ -194,8 +193,7 @@ def test_criterion_06_linear_pair_scaling(capsys):
 
 def test_criterion_07_energy_constants(capsys):
     model = EnergyModel()
-    node = SensorNode(1, "camera", battery=1000.0)
-    assert charge_processing(node, 65536, model) == 0.00195
+    assert model.cpu_cost(65536) == 0.00195
     sender = SensorNode(1, "camera", battery=1000.0)
     charged = charge_transmission([sender, SensorNode(0, "sink")], 65536, model)
     assert [e for _, e in charged] == [377.0]
