@@ -271,6 +271,27 @@ def test_transmission_charge_zero_bytes():
     assert charged[0][1] == 0.0 and sender.battery == 5.0
 
 
+def test_transmission_from_dead_node_is_refused():
+    # the simulation, not charge_transmission, refuses a dead sender: a left
+    # camera emptied by its own processing drops its send, charged nothing
+    def scenario(left_battery):
+        return Scenario(
+            nodes=_nodes((0, "sink", 0.0), (1, "camera", left_battery), (2, "camera", 1e9)),
+            pairs=[StereoPair(1, 2, MatchParams(1, 4, "sad"), shifted_sequence(16, 16, [1], 7))],
+            links=[(0, 1), (1, 2)],
+            policy="raw_always",
+        )
+
+    cpu = next(n for n in run_simulation(scenario(1e9)).nodes if n.id == 1).processing_uj
+    report = run_simulation(scenario(cpu))
+    assert not any(t.path[0] == 1 for t in report.transmissions)
+    assert [(d.step, d.reason, d.node) for d in report.drops] == [(1, "origin-dead", 1)]
+    dead = next(n for n in report.nodes if n.id == 1)
+    assert dead.died_at_step == 1
+    assert dead.final_battery_uj == dead.transmission_uj == 0.0
+    assert dead.bytes_transmitted == 0
+
+
 def test_node_dying_mid_path_still_forwards():
     weak = SensorNode(2, "relay", battery=1.0)
     strong = SensorNode(1, "relay", battery=1000.0)
