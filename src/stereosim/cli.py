@@ -150,11 +150,10 @@ def cmd_disparity(args) -> int:
 def cmd_depth(args) -> int:
     dmap = _read(args.sidecar, parse_disparity)
     depth = disparity_to_depth(dmap, args.focal_length, args.baseline)
-    n = int(depth.available.sum())
-    if n:
-        vals = depth.depths[depth.available]
+    vals = depth.depths[depth.available]
+    if vals.size:
         print(
-            f"available={n} min_m={float(vals.min())} "
+            f"available={vals.size} min_m={float(vals.min())} "
             f"max_m={float(vals.max())} mean_m={float(vals.mean())}"
         )
     else:

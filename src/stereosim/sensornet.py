@@ -68,12 +68,12 @@ class EnergyModel:
     cpu_energy_per_64kb_processed: float = 0.00195
 
     def __post_init__(self):
-        if not self.tx_energy_per_64kb > 0:
-            raise ValueError(f"tx_energy_per_64kb must be positive, got {self.tx_energy_per_64kb}")
-        if not self.cpu_energy_per_64kb_processed > 0:
-            raise ValueError(
-                f"cpu_energy_per_64kb_processed must be positive, got {self.cpu_energy_per_64kb_processed}"
-            )
+        for name in ("tx_energy_per_64kb", "cpu_energy_per_64kb_processed"):
+            rate = getattr(self, name)
+            if not rate > 0:
+                raise ValueError(f"{name} must be positive, got {rate}")
+            if rate == math.inf:  # a charge of 0 bytes would cost 0 * inf, NaN
+                raise ValueError(f"{name} must be finite, got {rate}")
 
     def tx_cost(self, nbytes: int) -> float:
         return nbytes * (self.tx_energy_per_64kb / _BYTES_PER_64KB)
@@ -310,6 +310,8 @@ def _validate(scenario: Scenario) -> tuple[list[str], dict[int, tuple[int, ...]]
             errors.append(f"{where}.role: must be one of {ROLES}, got {node.role!r}")
         if not node.battery >= 0:  # also rejects NaN
             errors.append(f"{where}.battery: must be >= 0, got {node.battery}")
+        elif node.battery == math.inf:  # _draw would turn inf - inf into NaN
+            errors.append(f"{where}.battery: must be finite, got {node.battery}")
         if node.id in ids:
             errors.append(f"{where}.id: duplicate node id {node.id}")
         else:

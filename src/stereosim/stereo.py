@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,30 +230,6 @@ def _cpu_count() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _on_two_threads(first, second):
-    """Run second on a worker thread while this thread runs first.
-
-    The worker is joined before this returns or raises, and an exception
-    it raised is raised here.
-    """
-    failed = []
-
-    def run():
-        try:
-            second()
-        except BaseException as exc:
-            failed.append(exc)
-
-    worker = threading.Thread(target=run, name="stereosim-match")
-    worker.start()
-    try:
-        first()
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-
-
 def _band_matcher(a, b, w: int, out, side: int, dmax: int, ssd: bool, packed: bool, bands):
     """A function that matches each [y0, y1) band of window rows and writes
     its winners into out[y0:y1], the valid columns of those rows.
@@ -378,8 +353,16 @@ def compute_disparity(
             upper = _row_bands(mid, row_bytes, _SPLIT_BAND_BYTES)
             lower = _row_bands(rows - mid, row_bytes, _SPLIT_BAND_BYTES)
             lower = [(mid + y0, mid + y1) for y0, y1 in lower]
-            _on_two_threads(*(_band_matcher(a, b, w, out, side, dmax, ssd, packed, bands)
-                              for bands in (upper, lower)))
+            match_upper = _band_matcher(a, b, w, out, side, dmax, ssd, packed, upper)
+            match_lower = _band_matcher(a, b, w, out, side, dmax, ssd, packed, lower)
+            # imported here, so that a match that does not split never loads it
+            from concurrent.futures import ThreadPoolExecutor
+
+            # leaving the block joins the worker; result() raises what it raised
+            with ThreadPoolExecutor(1, thread_name_prefix="stereosim-match") as pool:
+                lower_matched = pool.submit(match_lower)
+                match_upper()
+                lower_matched.result()
         else:
             _band_matcher(a, b, w, out, side, dmax, ssd, packed, _row_bands(rows, row_bytes))()
         valid[row0:row1, col0:col1] = True

@@ -787,20 +787,39 @@ def test_usage_error_exits_two():
     assert info.value.code == 2
 
 
+def _child_env() -> dict:
+    """The environment of a child that imports the same stereosim as this
+    process, however pytest found it."""
+    src = str(Path(stereosim.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_entry_point(tmp_path):
     p = tmp_path / "img.pgm"
     p.write_bytes(serialize_pgm(texture(16, 16, seed=2)))
-    # the child imports the same stereosim as this process, however pytest found it
-    src = str(Path(stereosim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "stereosim", "metrics", str(p), str(p)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "ssim=1.0" in proc.stdout
+
+
+def test_importing_the_cli_or_a_match_that_does_not_split_leaves_concurrent_futures_unloaded():
+    # only a match above stereo._SPLIT_EVALS imports it, for its worker thread
+    code = (
+        "import sys, stereosim.cli\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
+        "frame = stereosim.texture(64, 64, seed=1)\n"
+        "stereosim.compute_disparity(frame, frame, stereosim.MatchParams(1, 4))\n"
+        "loaded.append('concurrent.futures' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False]\n"
 
 
 def test_module_entry_point_in_process(tmp_path, capsys, monkeypatch):

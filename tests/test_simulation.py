@@ -32,7 +32,9 @@ from stereosim import (
     texture,
 )
 
-from stereosim.sensornet import POLICIES, DropRecord, EventRecord, TransmissionRecord, _draw, _json_text
+from stereosim.sensornet import (
+    POLICIES, DropRecord, EventRecord, TransmissionRecord, _draw, _json_text, validate_scenario,
+)
 
 from oracles import all_simple_paths, naive_mean_abs_change, naive_run_simulation
 
@@ -387,21 +389,24 @@ def test_a_node_empty_at_deployment_is_dead_from_step_zero(empty):
     assert by_id[1].transmission_uj == 0.0 and by_id[1].bytes_transmitted == 0
 
 
-def test_a_battery_drawn_to_nan_is_dead_in_the_ledger_as_alive_reads_it():
-    # an infinite battery charged an infinite cost is left NaN, which alive reads as dead
+def test_an_infinite_battery_or_energy_rate_is_refused_before_the_ledger_can_draw_nan():
+    # _draw would leave an infinite battery charged an infinite cost NaN, and
+    # a 0-byte charge at an infinite rate costs 0 * inf, NaN
+    for rates, name in (((float("inf"), 0.00195), "tx_energy_per_64kb"),
+                        ((377.0, float("inf")), "cpu_energy_per_64kb_processed")):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
+            EnergyModel(*rates)
     sc = Scenario(
-        nodes=_nodes((0, "sink", 0.0), (3, "camera", float("inf")), (4, "camera", float("inf"))),
+        nodes=_nodes((0, "sink", 0.0), (3, "camera", float("inf")), (4, "camera", float("-inf"))),
         pairs=[StereoPair(3, 4, MatchParams(1, 3, "sad"), shifted_sequence(12, 8, [1, 1, 2], 4))],
         links=[(0, 3), (3, 4)],
         policy="raw_always",
-        energy=EnergyModel(float("inf"), float("inf")),
     )
-    report = run_simulation(sc)
-    assert [n.died_at_step for n in report.nodes] == [None, 1, 1]
-    assert not any(SensorNode(n.id, n.role, n.final_battery_uj).alive for n in report.nodes)
-    assert report.lifetime == 1
-    assert [(d.step, d.reason, d.node) for d in report.drops] == [
-        (1, "origin-dead", 3), (2, "camera-dead", 3), (3, "camera-dead", 3)]
+    findings = ["nodes[1].battery: must be finite, got inf", "nodes[2].battery: must be >= 0, got -inf"]
+    assert validate_scenario(sc) == findings
+    with pytest.raises(ScenarioError) as info:
+        run_simulation(sc)
+    assert info.value.errors == findings
 
 
 def test_energy_conservation_exact():

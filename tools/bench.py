@@ -27,6 +27,8 @@ step 22, so their pairs drop from step 23 on. Its stages:
   `stereosim simulate` must write too;
 - cli_simulate: `stereosim simulate SCENARIO --out REPORT`, end to end.
 
+Both report files are removed before each run, so each is written anew.
+
 The cli topic runs the commands and sizes of the benchmark's `cli-files`
 workload on one seeded 640x480 pair whose right view is the left one
 shifted by 7 pixels. Its stages:
@@ -184,6 +186,8 @@ def simulate_case(tmp: Path, field: str):
 
     def run(tree, timed) -> str:
         sensornet = tree.sensornet
+        for stale in (saved, out):
+            stale.unlink(missing_ok=True)
         sc = timed("load_scenario", sensornet.load_scenario, path)
         timed("validate_scenario", sensornet.validate_scenario, sc)
         report = timed("run_simulation", sensornet.run_simulation, sc)
