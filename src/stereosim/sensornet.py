@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -966,67 +966,101 @@ _SCALAR_TOKENS = {
 def _json_text(value, pad: str = "") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False) writes it at pad.
 
+    It is the join of the parts that _json_parts gives and save_report writes.
+    """
+    return "".join(_json_parts(value, pad))
+
+
+def _json_parts(value, pad: str = "") -> Iterable[str]:
+    """value as _json_text writes it at pad, in the parts that save_report writes.
+
     value is JSON-ready, with string keys, except that a list of named
     tuples of one class, such as a report's record lists, renders as the
     list of their _asdict() would. Such a list, and a list of objects that
     share one key set, renders column by column.
+
+    Every token is built, and every error raised, before this returns. The
+    parts only join tokens: an object's members follow each other as parts,
+    and each item of a list is one part, joined from its tokens as it is
+    read, so no part holds a whole list.
     """
     token = _SCALAR_TOKENS.get(type(value))
     if token is not None:
-        return token(value)
+        return (token(value),)
     if isinstance(value, dict):
-        return _json_objects({k: (v,) for k, v in value.items()}, pad)[0] if value else "{}"
+        if not value:
+            return ("{}",)
+        inner = pad + "  "
+        parts = []
+        for n, k in enumerate(sorted(value)):
+            parts.append((_member_lead(n, k, inner),))
+            parts.append(_json_parts(value[k], inner))
+        parts.append(("\n" + pad + "}",))
+        return chain.from_iterable(parts)
     if isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            return ("[]",)
         inner = pad + "  "
         first = value[0]
         fields = getattr(type(first), "_fields", None)
         if fields and len(set(map(type, value))) == 1:
-            items = _json_objects(dict(zip(fields, zip(*value))), inner)
+            columns = _json_objects({k: [r[i] for r in value] for i, k in enumerate(fields)}, inner)
         elif isinstance(first, dict) and first and all(
             isinstance(v, dict) and v.keys() == first.keys() for v in value
         ):
-            items = _json_objects({k: [obj[k] for obj in value] for k in first}, inner)
+            columns = _json_objects({k: [obj[k] for obj in value] for k in first}, inner)
         else:
-            items = _json_column(value, inner)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+            columns = [_json_column(value, inner)]
+        leads = chain(("[\n" + inner,), repeat(",\n" + inner))
+        return chain(map("".join, zip(leads, *columns)), ("\n" + pad + "]",))
     for cls in (str, int, float):  # a subclass, such as numpy.float64, encodes as its base
         if isinstance(value, cls):
-            return _SCALAR_TOKENS[cls](value)
+            return (_SCALAR_TOKENS[cls](value),)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_objects(columns: dict[str, Sequence], pad: str) -> list[str]:
-    """The objects whose values under each key are columns[key], each as _json_text writes it at pad.
+def _member_lead(n: int, key: str, pad: str) -> str:
+    """The text before the value of an object's member n (from 0), whose key is key, at pad."""
+    return ("{\n" if n == 0 else ",\n") + pad + encode_basestring_ascii(key) + ": "
 
-    Every column is non-empty and equally long. Each object is one join of
-    its tokens with the text between them, which is the same for every
-    object.
+
+def _json_objects(columns: dict[str, Sequence], pad: str) -> list[Iterable[str]]:
+    """The columns of parts whose zip joins, row by row, to the objects whose
+    values under each key are columns[key], each as _json_text writes it at pad.
+
+    Every column is non-empty and equally long. The text between the tokens
+    is the same for every object, so it is one repeated part.
     """
     inner = pad + "  "
     parts = []
     for n, k in enumerate(sorted(columns)):
-        parts.append(repeat(("{\n" if n == 0 else ",\n") + inner + encode_basestring_ascii(k) + ": "))
+        parts.append(repeat(_member_lead(n, k, inner)))
         parts.append(_json_column(columns[k], inner))
     parts.append(repeat("\n" + pad + "}"))
-    return list(map("".join, zip(*parts)))
+    return parts
 
 
-def _json_column(values: Sequence, pad: str) -> Iterator[str]:
-    """Each of values as _json_text writes it at pad.
+def _json_column(values: Sequence, pad: str) -> Iterable[str]:
+    """Each of values as _json_text writes it at pad, every token built before this returns.
 
     Values that all have one scalar type exactly (int, float, str, bool or
     NoneType; True is a bool here, not an int), such as a `step` or `change`
-    column or the ints of a `pair`, render through that type's token in one
-    pass. Otherwise each value object renders once, keyed by id: values
-    holds every value until the tokens are read, so an id stands for one
-    value, and 1, True and 1.0 are distinct objects with distinct tokens.
+    column or the ints of a `pair`, render through that type's token. Such
+    a column of int, str, bool or None renders each distinct value once,
+    keyed by value; a float column renders value by value, since -0.0 and
+    0.0 are equal keys with different tokens. Otherwise each value object
+    renders once, keyed by id: values holds every value until the tokens
+    are read, so an id stands for one value, and 1, True and 1.0 are
+    distinct objects with distinct tokens.
     """
     types = set(map(type, values))
-    token = _SCALAR_TOKENS.get(types.pop()) if len(types) == 1 else None
+    kind = types.pop() if len(types) == 1 else None
+    if kind is float:
+        return list(map(_float_token, values))
+    token = _SCALAR_TOKENS.get(kind)
     if token is not None:
-        return map(token, values)
+        memo = {value: token(value) for value in set(values)}
+        return map(memo.__getitem__, values)
     distinct = dict(zip(map(id, values), values))
     memo = {i: _json_text(value, pad) for i, value in distinct.items()}
     return map(memo.__getitem__, map(id, values))
@@ -1038,9 +1072,10 @@ def save_report(report: SimReport, path: Path | str):
     The bytes equal json.dumps(report_to_dict(report), indent=2,
     sort_keys=True, allow_nan=False) plus a newline; a non-finite number
     raises ValueError and writes nothing. The record lists are rendered
-    from the records themselves, without a dict per record.
+    from the records themselves, without a dict per record, and each record
+    is joined from its tokens as it is written.
     """
-    text = _json_text(_report_doc(report))
+    parts = _json_parts(_report_doc(report))  # raises, if at all, before the file is opened
     with open(path, "w") as f:
-        f.write(text)
+        f.writelines(parts)
         f.write("\n")

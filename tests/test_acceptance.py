@@ -146,6 +146,7 @@ def test_criterion_03_map_similarity_reproduction(capsys):
     )
 
 
+@pytest.mark.wallclock
 def test_criterion_04_method_time_ordering(capsys, timing_sweep):
     records, elapsed = timing_sweep
     assert elapsed < 120.0
@@ -162,6 +163,7 @@ def test_criterion_04_method_time_ordering(capsys, timing_sweep):
     )
 
 
+@pytest.mark.wallclock
 def test_criterion_05_resolution_monotonicity(capsys, timing_sweep):
     records, _ = timing_sweep
     for method in ("sad", "ssd"):

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -1196,17 +1197,48 @@ def test_save_report_refuses_a_non_finite_number_and_writes_nothing(tmp_path, va
     message = f"^Out of range float values are not JSON compliant: {value!r}$"
     with pytest.raises(ValueError, match=message):
         _json_dumps_report(report)
-    out = tmp_path / "report.json"
-    with pytest.raises(ValueError, match=message):
-        save_report(report, out)
-    assert not out.exists()
+    _assert_refused_and_nothing_written(report, tmp_path / "report.json", message)
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_save_report_refuses_a_non_finite_number_in_a_record_and_writes_nothing(tmp_path, value):
     report = run_simulation(make_line_scenario())
     report.events[-1] = report.events[-1]._replace(change=value)
-    out = tmp_path / "report.json"
-    with pytest.raises(ValueError, match=f"^Out of range float values are not JSON compliant: {value!r}$"):
+    message = f"^Out of range float values are not JSON compliant: {value!r}$"
+    _assert_refused_and_nothing_written(report, tmp_path / "report.json", message)
+
+
+def _assert_refused_and_nothing_written(report, out, message):
+    """save_report raises ValueError matching message, creating no file at
+    out and leaving the bytes of a file already there as they were."""
+    with pytest.raises(ValueError, match=message):
         save_report(report, out)
     assert not out.exists()
+    out.write_bytes(b"an earlier report\n")
+    with pytest.raises(ValueError, match=message):
+        save_report(report, out)
+    assert out.read_bytes() == b"an earlier report\n"
+
+
+def test_save_report_traces_less_memory_than_the_report_it_writes(tmp_path):
+    """Each record is joined from its tokens as it is written, so on a field
+    of 20,100 transmissions the writer's traced peak stays below the size of
+    its file; rendering the whole document as one string peaks at ~3.3x."""
+    frames = shifted_sequence(8, 8, [1] * 200, 3)
+    nodes, pairs, links = [SensorNode(0, "sink")], [], []
+    for k in range(100):
+        left_id, right_id = 2 * k + 1, 2 * k + 2
+        nodes += [SensorNode(left_id, "camera", battery=1e9), SensorNode(right_id, "camera", battery=1e9)]
+        links += [(0, left_id), (left_id, right_id)]
+        pairs.append(StereoPair(left_id, right_id, MatchParams(1, 2, "sad"), frames))
+    report = run_simulation(Scenario(nodes=nodes, pairs=pairs, links=links, seed=3))
+    assert len(report.transmissions) >= 20_000
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        save_report(report, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
+    assert out.read_bytes() == _json_dumps_report(report)

@@ -54,14 +54,15 @@ A record holds one tree's runs of one case: the median and quartiles of
 each stage, in how many runs each stage was faster than in the first tree's
 run next to it, the sizes, and the Python version, numpy version, core
 count and the number of CPUs the process may run on (its affinity), which
-decides whether the matcher uses two threads. A cli record also holds the
-parameters, the mean run length of both maps, the traced peak
-(tracemalloc) of rendering and writing each depth JSON, once after the
-timed runs, and the two digests. A record is the median of at least 5 runs,
-so with `--runs` 3 or 4 the tool checks the bytes and prints the timings but
-writes no record. Records already in a file under other labels (or, for
-simulate, other fields) are kept, so before and after records can sit side
-by side.
+decides whether the matcher uses two threads. A simulate record also holds
+the traced peak (tracemalloc) of save_report writing the field's report,
+once after the timed runs. A cli record also holds the parameters, the mean
+run length of both maps, the traced peak of rendering and writing each
+depth JSON, once after the timed runs, and the two digests. A record is the
+median of at least 5 runs, so with `--runs` 3 or 4 the tool checks the
+bytes and prints the timings but writes no record. Records already in a
+file under other labels (or, for simulate, other fields) are kept, so
+before and after records can sit side by side.
 """
 
 from __future__ import annotations
@@ -117,6 +118,17 @@ def timed(samples: dict, stage: str, fn, *args):
     result = fn(*args)
     samples.setdefault(stage, []).append(time.perf_counter() - t0)
     return result
+
+
+def traced_peak_mib(fn, *args) -> float:
+    """The tracemalloc peak of fn(*args), in MiB, after a garbage collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def digest(*parts: bytes) -> str:
@@ -201,9 +213,12 @@ def simulate_case(tmp: Path, field: str):
 
     def fields(tree, outputs: str) -> dict:
         text = saved.read_text()
+        report = tree.sensornet.run_simulation(tree.sensornet.load_scenario(path))
+        peak = traced_peak_mib(tree.sensornet.save_report, report, tmp / "traced.json")
         return {"field": field, "sizes": {
             "pairs": PAIRS, "steps": STEPS, "width": SIDE, "height": SIDE,
-            "transmissions": json.loads(text)["totals"]["transmissions"], "report_bytes": len(text)}}
+            "transmissions": json.loads(text)["totals"]["transmissions"], "report_bytes": len(text)},
+            "traced_peak_mib": {"save_report": peak}}
 
     return run, fields
 
@@ -263,25 +278,23 @@ def cli_case(tmp: Path, first):
         dmap = first.stereo.parse_disparity(dsp.read_bytes())
         return dmap.disparities.size / len(first.stereo._rle_runs(dmap)[0])
 
-    def traced_peak_mib(tree, dsp: Path) -> float:
+    def depth_peak_mib(tree, dsp: Path) -> float:
         """The tracemalloc peak of rendering and writing the depth JSON of dsp."""
         dmap = tree.stereo.parse_disparity(dsp.read_bytes())
         depth_map = tree.stereo.disparity_to_depth(dmap, DEPTH["focal_length"], DEPTH["baseline"])
-        gc.collect()
-        tracemalloc.start()
-        try:
+
+        def write():
             with open(tmp / "traced.json", "w") as f:
                 f.writelines(tree.cli._depth_json(dmap, depth_map))
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
+
+        return traced_peak_mib(write)
 
     def fields(tree, outputs: tuple[str, str]) -> dict:
         return {
             "sizes": {"width": WIDTH, "height": HEIGHT, "shift": SHIFT, "seed": SEED},
             "params": {**MATCH, **DEPTH, "ssim_window_side": 8, "short_runs": SHORT_RUNS},
             "mean_run_px": {stage: mean_run(dsp) for stage, dsp in maps.items()},
-            "traced_peak_mib": {stage: traced_peak_mib(tree, dsp) for stage, dsp in maps.items()},
+            "traced_peak_mib": {stage: depth_peak_mib(tree, dsp) for stage, dsp in maps.items()},
             "outputs_sha256": outputs[0], "short_runs_sha256": outputs[1],
         }
 

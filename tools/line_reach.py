@@ -4,13 +4,16 @@
     python3 tools/line_reach.py [PYTEST_ARG ...]
 
 Runs pytest in this process (default arguments: -q -p no:cacheprovider
-tests) with a sys.settrace line tracer on every frame whose code lives in
+-m "not wallclock" tests) with a sys.settrace line tracer on every frame whose code lives in
 src/stereosim, and then prints, for each module, the executable lines that
 never ran. A line is executable when the compiled module maps a bytecode
 instruction to it; a `def` or `class` line belongs to the enclosing block,
 which runs it at import. Only the standard library is used, so it runs
 where coverage.py is not installed. Threads started after the tracer is set
 are traced too; other processes (such as a test's subprocess) are not.
+The tracer slows some code more than other code, so by default the tests
+marked `wallclock`, which compare measured wall times, are deselected; the
+plain test run still runs them.
 
 The exit status is pytest's when pytest fails, and otherwise 1 when any
 module has an unreached line, or 0 when every line was reached.
@@ -74,7 +77,7 @@ def main(argv: list[str]) -> int:
     threading.settrace(trace_calls)
     sys.settrace(trace_calls)
     try:
-        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", "-m", "not wallclock", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
