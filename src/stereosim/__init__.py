@@ -17,7 +17,6 @@ from .sensornet import (
     SensorNode,
     SimReport,
     StereoPair,
-    charge_transmission,
     detect_event,
     load_scenario,
     report_to_dict,

@@ -38,7 +38,7 @@ __all__ = [
     "ROLES", "POLICIES", "EnergyModel", "SensorNode", "StereoPair", "Scenario",
     "ScenarioError", "RoutingError",
     "EventRecord", "TransmissionRecord", "DropRecord", "NodeReport", "PairReport", "SimReport",
-    "route_to_sink", "detect_event", "charge_transmission", "run_simulation", "validate_scenario",
+    "route_to_sink", "detect_event", "run_simulation", "validate_scenario",
     "scenario_from_dict", "load_scenario", "report_summary", "report_to_dict", "save_report",
 ]
 
@@ -274,25 +274,18 @@ def detect_event(
     return change > threshold, change
 
 
-def _draw(node: SensorNode, cost: float) -> float:
-    """Take cost from the battery, flooring it at zero; returns the energy drawn."""
+def _charge(node: SensorNode, report: NodeReport, cost: float, step: int) -> float:
+    """Take cost from the battery, flooring it at zero; returns the energy drawn.
+
+    A charge that leaves its node dead books the deficit and the death in its
+    report. Only a live node is charged, so a node dies once.
+    """
     drawn = cost if node.battery >= cost else node.battery
     node.battery -= drawn
+    if not node.battery > 0.0:
+        report.deficit_uj += cost - drawn
+        report.died_at_step = step
     return drawn
-
-
-def charge_transmission(
-    path: list[SensorNode], nbytes: int, model: EnergyModel
-) -> list[tuple[SensorNode, float]]:
-    """Charge radio energy along a path; every node but the last transmits.
-
-    Returns (node, energy drawn) per transmitter. A node dying mid-path
-    still forwards the in-flight payload. The simulator sends only along a
-    live path; a transmitter that is already dead draws nothing, because
-    _draw floors at zero.
-    """
-    cost = model.tx_cost(nbytes)
-    return [(node, _draw(node, cost)) for node in path[:-1]]
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
@@ -310,7 +303,7 @@ def _validate(scenario: Scenario) -> tuple[list[str], dict[int, tuple[int, ...]]
             errors.append(f"{where}.role: must be one of {ROLES}, got {node.role!r}")
         if not node.battery >= 0:  # also rejects NaN
             errors.append(f"{where}.battery: must be >= 0, got {node.battery}")
-        elif node.battery == math.inf:  # _draw would turn inf - inf into NaN
+        elif node.battery == math.inf:  # _charge would turn inf - inf into NaN
             errors.append(f"{where}.battery: must be finite, got {node.battery}")
         if node.id in ids:
             errors.append(f"{where}.id: duplicate node id {node.id}")
@@ -330,6 +323,8 @@ def _validate(scenario: Scenario) -> tuple[list[str], dict[int, tuple[int, ...]]
         errors.append(f"policy: must be one of {POLICIES}, got {scenario.policy!r}")
     if not scenario.event_threshold >= 0:
         errors.append(f"event_threshold: must be >= 0, got {scenario.event_threshold}")
+    elif scenario.event_threshold == math.inf:  # the report could not hold it
+        errors.append(f"event_threshold: must be finite, got {scenario.event_threshold}")
 
     seen_pairs = set()
     # (left, right) frame objects, by identity, that passed against a step-0 size,
@@ -415,7 +410,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
     while some group's most recent step used it. Every executed pair-step
     still pays its energy and counts its nominal elementary_ops.
 
-    Every charge is one _draw, in loop order. A charge that leaves its node
+    Every charge is one _charge, in loop order. A charge that leaves its node
     dead books the deficit and the death; any other charge drew its full cost.
     The ledger tests alive's own comparison, battery > 0.0, inline.
     """
@@ -497,26 +492,20 @@ def run_simulation(scenario: Scenario) -> SimReport:
             sent = None
         return dmap is not prev, ops, rle_nbytes, triggered, change, sent
 
-    def book(rep: NodeReport, step: int, cost: float, drawn: float):
-        """Record the deficit and the death of a charge that left its node dead.
-        Only a live node is charged, so a node dies once."""
-        rep.deficit_uj += cost - drawn
-        rep.died_at_step = step
-
     def transmit(step, key, path_ids, path, kind, nbytes):
         """Send a payload along a route to the sink, or record its drop at the first dead
-        transmitter, before any radio charge."""
-        for node in path[:-1]:
+        transmitter, before any radio charge. Every node but the sink transmits, and a node
+        dying mid-path still forwards the payload."""
+        transmitters = path[:-1]
+        for node in transmitters:
             if not node.battery > 0.0:
                 reason = "origin-dead" if node is path[0] else "relay-dead"
                 drops.append(DropRecord(step, key, reason, node.id, kind, nbytes))
                 return
         cost = model.tx_cost(nbytes)
-        for node, drawn in charge_transmission(path, nbytes, model):
+        for node in transmitters:
             rep = reports[node.id]
-            if not node.battery > 0.0:
-                book(rep, step, cost, drawn)
-            rep.transmission_uj += drawn
+            rep.transmission_uj += _charge(node, rep, cost, step)
             rep.bytes_transmitted += nbytes
         transmissions.append(TransmissionRecord(step, key, kind, nbytes, path_ids))
 
@@ -532,20 +521,12 @@ def run_simulation(scenario: Scenario) -> SimReport:
                 continue
             # the partner frame crosses the intra-pair link so the left node
             # can match; the right camera is alive, so it is never dropped.
-            # A draw that falls short empties its node, so a charge books only
-            # when it leaves its node dead.
-            drawn = _draw(right, hop_cost)
-            if not right.battery > 0.0:
-                book(right_rep, step, hop_cost, drawn)
-            right_rep.transmission_uj += drawn
+            right_rep.transmission_uj += _charge(right, right_rep, hop_cost, step)
             right_rep.bytes_transmitted += frame_bytes
             # tuple.__new__ skips the record class's Python-level __new__
             transmissions.append(tuple.__new__(TransmissionRecord, (step, key, "raw_frame", frame_bytes, hop)))
 
-            drawn = _draw(left, cpu_cost)
-            if not left.battery > 0.0:
-                book(left_rep, step, cpu_cost, drawn)
-            left_rep.processing_uj += drawn
+            left_rep.processing_uj += _charge(left, left_rep, cpu_cost, step)
 
             s = sensed.get(g)
             if s is None:
@@ -622,10 +603,9 @@ class _Loader:
     def __init__(self, base_dir: Path | None):
         self.base_dir = base_dir
         self.errors: list[str] = []
-        # equal synthetic frames and equal match specs are one object each,
-        # so the simulator's memos match them by identity first
+        # equal synthetic frames are one object each, so the simulator's
+        # memos match them by identity first
         self.sequences: dict[tuple, list[tuple[GrayImage, GrayImage]]] = {}
-        self.match_specs: dict[MatchParams, MatchParams] = {}
 
     def fail(self, where: str, message: str):
         self.errors.append(f"{where}: {message}")
@@ -715,8 +695,7 @@ class _Loader:
         count = partial(self.get_int, minimum=0)
         # method is passed as given: JSON null is a value, which MatchParams reports
         readers = {"window_radius": count, "max_disparity": count, "method": lambda w, o, k: o[k]}
-        params = self.load_fields(where, obj, MatchParams, readers)
-        return None if params is None else self.match_specs.setdefault(params, params)
+        return self.load_fields(where, obj, MatchParams, readers)
 
     def load_frames(self, where: str, obj, scenario_seed: int):
         if not self.expect_object(where, obj, {"files", "synthetic"}):

@@ -17,7 +17,6 @@ from stereosim import (
     Scenario,
     SensorNode,
     StereoPair,
-    charge_transmission,
     compute_disparity,
     psnr,
     report_to_dict,
@@ -196,13 +195,23 @@ def test_criterion_06_linear_pair_scaling(capsys):
 def test_criterion_07_energy_constants(capsys):
     model = EnergyModel()
     assert model.cpu_cost(65536) == 0.00195
-    sender = SensorNode(1, "camera", battery=1000.0)
-    charged = charge_transmission([sender, SensorNode(0, "sink")], 65536, model)
-    assert [e for _, e in charged] == [377.0]
-    hops = [SensorNode(i, "relay", battery=1e6) for i in (5, 4, 3)] + [SensorNode(0, "sink")]
-    charged = charge_transmission(hops, 65536, model)
-    assert [e for _, e in charged] == [377.0, 377.0, 377.0]
-    assert sum(e for _, e in charged) == 3 * 377.0
+    assert model.tx_cost(65536) == 377.0
+    # sink 0 -- relay 1 -- relay 2 -- cameras 3 and 4; a 618x53 frame weighs
+    # 32,768 bytes, so the left camera sends a 64 KiB raw pair over three hops
+    field = Scenario(
+        nodes=[SensorNode(0, "sink"), SensorNode(1, "relay", 1e6), SensorNode(2, "relay", 1e6),
+               SensorNode(3, "camera", 1e6), SensorNode(4, "camera", 1e6)],
+        pairs=[StereoPair(3, 4, MatchParams(1, 4, "sad"), shifted_sequence(618, 53, [1], seed=13))],
+        links=[(0, 1), (1, 2), (2, 3), (3, 4)],
+        policy="raw_always",
+    )
+    report = run_simulation(field)
+    (sent,) = [t for t in report.transmissions if t.payload == "raw_pair"]
+    assert (sent.path, sent.bytes) == ((3, 2, 1, 0), 65536)
+    by_id = {n.id: n for n in report.nodes}
+    charged = [by_id[i].transmission_uj for i in sent.path[:-1]]
+    assert charged == [model.tx_cost(sent.bytes)] * 3 == [377.0, 377.0, 377.0]
+    assert sum(charged) == 3 * 377.0
     announce(
         capsys,
         "ACCEPTANCE 7 PASS: 64 KiB costs exactly 377.0 uJ per hop and "

@@ -238,6 +238,22 @@ def test_duplicate_pair_is_a_finding():
     assert validate_scenario(sc) == ["pairs[1]: duplicate pair (1, 2)"]
 
 
+def test_an_infinite_event_threshold_is_a_finding_before_the_run():
+    # a threshold the report could not hold is refused with the other findings,
+    # not after the run by save_report; -inf already fails ">= 0"
+    for threshold, finding in ((float("inf"), "must be finite, got inf"), (float("-inf"), "must be >= 0, got -inf")):
+        sc = Scenario(
+            nodes=[SensorNode(0, "sink"), SensorNode(1, "camera", 1.0), SensorNode(2, "camera", 1.0)],
+            pairs=[StereoPair(1, 2, MatchParams(1, 2, "sad"), shifted_sequence(8, 8, [1], 0))],
+            links=[(0, 1), (1, 2)],
+            event_threshold=threshold,
+        )
+        assert validate_scenario(sc) == [f"event_threshold: {finding}"]
+        with pytest.raises(ScenarioError) as info:
+            run_simulation(sc)
+        assert info.value.errors == [f"event_threshold: {finding}"]
+
+
 def test_frame_size_findings_are_pinned():
     good = shifted_sequence(16, 16, [1], 7)[0]
     small = shifted_sequence(16, 12, [1], 7)[0]

@@ -18,7 +18,6 @@ from stereosim import (
     ScenarioError,
     SensorNode,
     StereoPair,
-    charge_transmission,
     compute_disparity,
     detect_event,
     load_scenario,
@@ -34,7 +33,7 @@ from stereosim import (
 )
 
 from stereosim.sensornet import (
-    POLICIES, DropRecord, EventRecord, TransmissionRecord, _draw, _json_text, validate_scenario,
+    POLICIES, DropRecord, EventRecord, NodeReport, TransmissionRecord, _charge, _json_text, validate_scenario,
 )
 
 from oracles import all_simple_paths, naive_mean_abs_change, naive_run_simulation
@@ -252,31 +251,57 @@ def test_processing_charge_scales_linearly():
     assert EnergyModel().cpu_cost(32768) == 0.000975
 
 
+def _relay_line(*relay_batteries, left_battery=1e9, steps=1):
+    """sink 0 -- relay 1 -- ... -- relay k -- camera k+1 -- camera k+2, every
+    step's raw pair sent to the sink. A 618x53 frame weighs 32,768 bytes, so
+    each raw pair is 64 KiB and the left camera's route has k + 1 transmitters."""
+    k = len(relay_batteries)
+    left, right = k + 1, k + 2
+    nodes = _nodes((0, "sink", 0.0), *((i + 1, "relay", b) for i, b in enumerate(relay_batteries)),
+                   (left, "camera", left_battery), (right, "camera", 1e9))
+    return Scenario(
+        nodes=nodes,
+        pairs=[StereoPair(left, right, MatchParams(1, 4, "sad"), shifted_sequence(618, 53, [1] * steps, 7))],
+        links=[(i, i + 1) for i in range(right)],
+        policy="raw_always",
+    )
+
+
+def _sent(report):
+    """The report's sink-bound sends, and its node reports by id."""
+    return [t for t in report.transmissions if t.payload == "raw_pair"], {n.id: n for n in report.nodes}
+
+
 def test_transmission_charge_single_hop():
-    sender = SensorNode(1, "camera", battery=1000.0)
-    sink = SensorNode(0, "sink")
-    charged = charge_transmission([sender, sink], 65536, EnergyModel())
-    assert [(n.id, e) for n, e in charged] == [(1, 377.0)]
-    assert sender.battery == 623.0
-    assert sink.battery == 0.0  # the sink never pays
+    (sent,), by_id = _sent(run_simulation(_relay_line(left_battery=1000.0)))
+    assert (sent.path, sent.bytes) == ((1, 0), 65536)
+    sender = by_id[1]
+    assert sender.transmission_uj == 377.0 and sender.bytes_transmitted == 65536
+    assert sender.final_battery_uj == 1000.0 - sender.processing_uj - 377.0
+    sink = by_id[0]  # the sink never pays
+    assert sink.final_battery_uj == sink.transmission_uj == 0.0 and sink.bytes_transmitted == 0
 
 
 def test_transmission_charge_three_hops():
-    path = [SensorNode(i, "relay", battery=1000.0) for i in (3, 2, 1)] + [SensorNode(0, "sink")]
-    charged = charge_transmission(path, 65536, EnergyModel())
-    assert [e for _, e in charged] == [377.0, 377.0, 377.0]
-    assert sum(e for _, e in charged) == 1131.0
+    (sent,), by_id = _sent(run_simulation(_relay_line(1000.0, 1000.0)))
+    assert sent.path == (3, 2, 1, 0)
+    charged = [by_id[i].transmission_uj for i in sent.path[:-1]]
+    assert charged == [377.0, 377.0, 377.0]
+    assert sum(charged) == 1131.0
+    assert by_id[0].transmission_uj == 0.0
 
 
 def test_transmission_charge_zero_bytes():
-    sender = SensorNode(1, "camera", battery=5.0)
-    charged = charge_transmission([sender, SensorNode(0, "sink")], 0, EnergyModel())
-    assert charged[0][1] == 0.0 and sender.battery == 5.0
+    cost = EnergyModel().tx_cost(0)
+    assert cost == 0.0
+    sender, rep = SensorNode(1, "camera", battery=5.0), NodeReport(1, "camera", 5.0, 5.0)
+    assert _charge(sender, rep, cost, 1) == 0.0 and sender.battery == 5.0
+    assert rep.deficit_uj == 0.0 and rep.died_at_step is None
 
 
 def test_transmission_from_dead_node_is_refused():
-    # the simulation, not charge_transmission, refuses a dead sender: a left
-    # camera emptied by its own processing drops its send, charged nothing
+    # a left camera emptied by its own processing drops its send, before
+    # any radio charge, so it is charged nothing
     def scenario(left_battery):
         return Scenario(
             nodes=_nodes((0, "sink", 0.0), (1, "camera", left_battery), (2, "camera", 1e9)),
@@ -296,13 +321,19 @@ def test_transmission_from_dead_node_is_refused():
 
 
 def test_node_dying_mid_path_still_forwards():
-    weak = SensorNode(2, "relay", battery=1.0)
-    strong = SensorNode(1, "relay", battery=1000.0)
-    charged = charge_transmission([strong, weak, SensorNode(0, "sink")], 65536, EnergyModel())
+    # relay 1 holds less than one send's cost, relay 2 plenty
+    report = run_simulation(_relay_line(1.0, 1000.0, steps=2))
+    (sent,), by_id = _sent(report)
     # the weak relay pays what it has, goes to zero, and the payload completes
-    assert charged[1][1] == 1.0
-    assert weak.battery == 0.0
-    assert charged[0][1] == 377.0
+    assert (sent.step, sent.path) == (1, (3, 2, 1, 0))
+    weak = by_id[1]
+    assert weak.transmission_uj == 1.0 and weak.final_battery_uj == 0.0
+    assert weak.died_at_step == 1 and weak.deficit_uj == 377.0 - 1.0
+    assert by_id[2].transmission_uj == 377.0
+    assert by_id[0].transmission_uj == 0.0
+    # the next step's send stops at the dead relay
+    assert [(d.step, d.reason, d.node) for d in report.drops] == [(2, "relay-dead", 1)]
+    assert report.lifetime == 1
 
 
 def test_energy_model_validation():
@@ -391,7 +422,7 @@ def test_a_node_empty_at_deployment_is_dead_from_step_zero(empty):
 
 
 def test_an_infinite_battery_or_energy_rate_is_refused_before_the_ledger_can_draw_nan():
-    # _draw would leave an infinite battery charged an infinite cost NaN, and
+    # _charge would leave an infinite battery charged an infinite cost NaN, and
     # a 0-byte charge at an infinite rate costs 0 * inf, NaN
     for rates, name in (((float("inf"), 0.00195), "tx_energy_per_64kb"),
                         ((377.0, float("inf")), "cpu_energy_per_64kb_processed")):
@@ -542,26 +573,26 @@ def test_detect_event_runs_once_per_group_step_on_its_consecutive_maps(monkeypat
     assert len(calls) == len(group_steps) < sum(t.payload == "raw_frame" for t in report.transmissions)
 
 
-def test_a_death_free_field_is_charged_as_columns(monkeypatch):
+def test_a_death_free_field_charges_hop_processing_and_send_in_pair_order(monkeypatch):
     """Each step of the 4-pair field charges every pair's hop, processing and one-hop send as one
-    _draw apiece, in pair order, and no charge leaves a deficit or a death."""
+    _charge apiece, in pair order, and no charge leaves a deficit or a death."""
     import stereosim.sensornet as sensornet
 
-    draws = []
+    charges = []
 
-    def counting(node, cost):
-        draws.append(node.id)
-        return _draw(node, cost)
+    def counting(node, report, cost, step):
+        charges.append(node.id)
+        return _charge(node, report, cost, step)
 
-    monkeypatch.setattr(sensornet, "_draw", counting)
+    monkeypatch.setattr(sensornet, "_charge", counting)
     scenario = _multi_pair_scenario(4)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         report = run_simulation(scenario)
         save_report(report, out)
         assert out.read_bytes() == naive_run_simulation(scenario)
-    column = [i for k in range(4) for i in (2 * k + 2, 2 * k + 1, 2 * k + 1)]
-    assert draws == column * 3
+    per_step = [i for k in range(4) for i in (2 * k + 2, 2 * k + 1, 2 * k + 1)]
+    assert charges == per_step * 3
     assert report.lifetime is None
     assert all(n.deficit_uj == 0.0 and n.died_at_step is None for n in report.nodes)
 
@@ -905,20 +936,28 @@ def test_equal_frame_specs_share_frame_objects():
     assert len({id(img) for frames in same_spec for pair in frames for img in pair}) == 5
 
 
-def test_equal_match_specs_share_one_params_object():
-    doc = _scenario_dict()
-    doc["nodes"] += [{"id": i, "role": "camera", "battery": 1e9} for i in range(3, 9)]
-    doc["links"] += [[0, 3], [3, 4], [0, 5], [5, 6], [0, 7], [7, 8]]
-    spec = doc["pairs"][0]["match"]
-    doc["pairs"] += [
-        dict(doc["pairs"][0], left=3, right=4, match=dict(spec)),
-        dict(doc["pairs"][0], left=5, right=6, match=dict(spec, method="ssd")),
-        dict(doc["pairs"][0], left=7, right=8, match={"window_radius": 1, "max_disparity": 4}),
-    ]
-    params = [p.match_params for p in scenario_from_dict(doc).pairs]
-    # the last pair leaves method at its default, sad, so its spec equals the first
-    assert params[0] is params[1] is params[3]
-    assert params[2] == MatchParams(1, 4, "ssd") and params[2] is not params[0]
+def test_equal_but_distinct_match_params_match_each_input_once(monkeypatch):
+    import stereosim.sensornet as sensornet
+
+    calls = []
+
+    def counting(left, right, params):
+        calls.append(params)
+        return compute_disparity(left, right, params)
+
+    monkeypatch.setattr(sensornet, "compute_disparity", counting)
+    doc = _scenario_dict(policy="disparity_always")
+    doc["pairs"][0]["frames"]["synthetic"]["shift_per_step"] = [1, 2, 3]
+    doc["nodes"] += [{"id": i, "role": "camera", "battery": 1e9} for i in (3, 4)]
+    doc["links"] += [[0, 3], [3, 4]]
+    doc["pairs"] += [dict(doc["pairs"][0], left=3, right=4, match=dict(doc["pairs"][0]["match"]))]
+    scenario = scenario_from_dict(doc)
+    first, second = scenario.pairs
+    assert all(a is b for a, b in zip(first.frames, second.frames, strict=True))  # shared frame tuples
+    assert first.match_params == second.match_params and first.match_params is not second.match_params
+    run_simulation(scenario)
+    # three steps of three distinct inputs, each matched once for both pairs
+    assert len({(id(lf), id(rf)) for lf, rf in first.frames}) == len(calls) == 3
 
 
 def test_a_pgm_path_that_fails_is_reported_at_each_entry(tmp_path):
